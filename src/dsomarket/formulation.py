@@ -493,6 +493,13 @@ def add_network_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
     by_node: dict[int, list] = {n: [] for n in net.bus_ids()}
     for kind, cfg in s.aggregators():
         by_node[cfg.node].append((kind, cfg))
+    # each bus's (branch, incidence) pairs, in branch order
+    incident: dict[int, list] = {n: [] for n in net.bus_ids()}
+    for br in net.branches:
+        for bus_id in (br.from_bus, br.to_bus):
+            a_jn = net.incidence(br, bus_id)
+            if bus_id in incident:
+                incident[bus_id].append((br, float(a_jn)))
 
     for ti, t in enumerate(steps):
         for bus in net.buses:
@@ -527,13 +534,11 @@ def add_network_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
                 p_coefs.append(1.0)
                 q_cols.append(reg[("Q_sub", t)])
                 q_coefs.append(1.0)
-            for br in net.branches:
-                a_jn = net.incidence(br, bus.id)
-                if a_jn:
-                    p_cols.append(reg[("Pl", br.id, t)])
-                    p_coefs.append(float(a_jn))
-                    q_cols.append(reg[("Ql", br.id, t)])
-                    q_coefs.append(float(a_jn))
+            for br, a_jn in incident[bus.id]:
+                p_cols.append(reg[("Pl", br.id, t)])
+                p_coefs.append(a_jn)
+                q_cols.append(reg[("Ql", br.id, t)])
+                q_coefs.append(a_jn)
             rows.append(Row(f"p_balance[{t},{bus.id}]", tuple(p_cols),
                             tuple(p_coefs), EQ, -bus.p_load[ti]))
             rows.append(Row(f"q_balance[{t},{bus.id}]", tuple(q_cols),

@@ -1,27 +1,31 @@
 """LP relaxation engine and best-first branch-and-bound for 0/1 MILPs.
 
-The LP relaxations are delegated to the HiGHS dual simplex via
-``scipy.optimize.linprog`` (deterministic vertex solutions, tight
-feasibility tolerances); the branch-and-bound search on top is our own:
-best-first node order with insertion-order tie-breaking, branching on the
-most fractional binary with lowest-index tie-breaking.
+The LP relaxations are solved by the HiGHS dual simplex bundled with
+scipy, through its private bindings (``scipy.optimize._highspy._core``).
+Each ``solve_milp`` call loads its relaxation once into one persistent
+HiGHS model with presolve off; every node then only changes the bounds of
+the binary columns it fixes, and the dual simplex restarts from the basis
+the previous node left, so a node costs a few pivots instead of a full
+solve.  A one-shot ``solve_lp`` runs the same code on a fresh model.
+The branch-and-bound search on top is our own: best-first node order
+with insertion-order tie-breaking, branching on the most fractional
+binary with lowest-index tie-breaking.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NODE_LIMIT = "NodeLimit"
-
-_STATUS_MAP = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -87,34 +91,175 @@ class BnbNode:
     depth: int
 
 
-def solve_lp(form: LpStandardForm, opts: SolveOptions | None = None) -> LpResult:
-    """Solve one LP to a vertex with HiGHS dual simplex."""
-    opts = opts or SolveOptions()
-    n = len(form.c)
-    lower = form.lower if form.lower is not None else np.zeros(n)
-    upper = form.upper if form.upper is not None else np.full(n, np.inf)
-    bounds = np.column_stack([lower, upper])
-    tol = max(min(opts.feasibility_tol, 1e-9), 1e-10)
-    res = linprog(
-        form.c,
-        A_ub=form.A_ub, b_ub=form.b_ub,
-        A_eq=form.A_eq, b_eq=form.b_eq,
-        bounds=bounds,
-        method="highs-ds",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": tol,
-            "dual_feasibility_tolerance": tol,
-        },
-    )
-    status = _STATUS_MAP.get(res.status)
-    if status is None:
-        raise SolverError(f"LP backend failed: {res.message}")
-    values = np.asarray(res.x, dtype=float) if res.x is not None else None
-    objective = float(res.fun) if status == OPTIMAL else (
-        -np.inf if status == UNBOUNDED else np.inf)
-    return LpResult(status=status, values=values, objective=objective,
-                    iterations=int(res.nit))
+def _finite(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"LP input {name} must not contain inf or nan")
+    return values
+
+
+# Every method of the private ``_Highs`` class that HighsLp calls.  They are
+# checked when this module is imported, so a scipy without them fails there.
+HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds", "run",
+                 "getModelStatus", "modelStatusToString", "getInfo",
+                 "getSolution")
+SCIPY_NEEDED = "scipy>=1.17"
+
+
+def highs_bindings(module: str = "scipy.optimize._highspy._core"):
+    """Import scipy's private HiGHS bindings and check that ``_Highs`` has
+    every method in ``HIGHS_METHODS``; raise ImportError naming the scipy
+    version needed otherwise."""
+    try:
+        core = importlib.import_module(module)
+    except ImportError as exc:
+        raise ImportError(
+            f"dsomarket needs {SCIPY_NEEDED}: cannot import the HiGHS "
+            f"bindings {module} ({exc})") from exc
+    missing = [name for name in HIGHS_METHODS
+               if not hasattr(getattr(core, "_Highs", None), name)]
+    if missing:
+        raise ImportError(
+            f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings {module} "
+            f"lack _Highs.{', _Highs.'.join(missing)}")
+    return core
+
+
+class HighsLp:
+    """One LP held by a HiGHS instance, re-solved after bound changes.
+
+    The first ``solve`` loads the form; later calls must pass forms with
+    the same objective and constraint arrays and change only the column
+    bounds.  Only the columns whose bounds differ from the loaded ones are
+    sent to HiGHS, and the dual simplex restarts from the basis the last
+    solve left.  This class is the package's only user of the private
+    HiGHS bindings.
+    """
+
+    _core = highs_bindings()
+    _VERDICTS = {"kOptimal": OPTIMAL, "kInfeasible": INFEASIBLE,
+                 "kUnbounded": UNBOUNDED, "kIterationLimit": ITERATION_LIMIT}
+
+    def __init__(self, opts: SolveOptions, presolve: bool = False) -> None:
+        self._opts = opts
+        self._presolve = presolve
+        self._form: LpStandardForm | None = None
+        self._lower = self._upper = None
+        self._highs = self._core._Highs()
+        tol = max(min(opts.feasibility_tol, 1e-9), 1e-10)
+        for name, value in (("output_flag", False),
+                            ("presolve", "on" if presolve else "off"),
+                            ("solver", "simplex"),
+                            ("simplex_strategy", 1),    # dual simplex
+                            ("primal_feasibility_tolerance", tol),
+                            ("dual_feasibility_tolerance", tol)):
+            self._check(self._highs.setOptionValue(name, value),
+                        f"setting {name}")
+
+    @staticmethod
+    def _check(status, what: str) -> None:
+        if status.name == "kError":
+            raise SolverError(f"HiGHS failed {what}")
+
+    def _load(self, form: LpStandardForm, lower, upper) -> None:
+        c = _finite("c", form.c)
+        n = len(c)
+        blocks, row_lower, row_upper = [], [], []
+        if form.A_ub is not None:
+            b_ub = _finite("b_ub", form.b_ub)
+            blocks.append(sparse.csr_array(form.A_ub))
+            row_lower.append(np.full(len(b_ub), -np.inf))
+            row_upper.append(b_ub)
+        if form.A_eq is not None:
+            b_eq = _finite("b_eq", form.b_eq)
+            blocks.append(sparse.csr_array(form.A_eq))
+            row_lower.append(b_eq)
+            row_upper.append(b_eq)
+        A = (sparse.vstack(blocks, format="csc") if blocks
+             else sparse.csc_array((0, n)))
+        _finite("the constraint matrix", A.data)
+        m = A.shape[0]
+        self._check(self._highs.passModel(
+            n, m, A.nnz,
+            1, 1, 0.0,      # column-wise matrix, minimise, no offset
+            c, lower, upper,
+            np.concatenate(row_lower) if m else np.empty(0),
+            np.concatenate(row_upper) if m else np.empty(0),
+            A.indptr.astype(np.int32), A.indices.astype(np.int32),
+            A.data.astype(float),
+            np.zeros(n, dtype=np.int32)),    # every column continuous
+            "loading the model")
+        self._form = form
+
+    def _same_lp(self, form: LpStandardForm) -> bool:
+        held = self._form
+        return all(a is b for a, b in zip(
+            (form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq),
+            (held.c, held.A_ub, held.b_ub, held.A_eq, held.b_eq)))
+
+    def _set_bounds(self, lower, upper) -> None:
+        changed = np.flatnonzero((lower != self._lower)
+                                 | (upper != self._upper))
+        if changed.size:
+            self._check(self._highs.changeColsBounds(
+                changed.size, changed.astype(np.int32),
+                lower[changed], upper[changed]), "changing bounds")
+
+    def _run(self):
+        """Run the simplex; return the model status and its iterations."""
+        self._check(self._highs.run(), "running the simplex")
+        return (self._highs.getModelStatus(),
+                int(self._highs.getInfo().simplex_iteration_count))
+
+    def solve(self, form: LpStandardForm) -> LpResult:
+        n = len(form.c)
+        lower = np.array(form.lower if form.lower is not None
+                         else np.zeros(n), dtype=float)
+        upper = np.array(form.upper if form.upper is not None
+                         else np.full(n, np.inf), dtype=float)
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("LP column bounds must not contain nan")
+        if self._form is None:
+            self._load(form, lower, upper)
+        elif self._same_lp(form):
+            self._set_bounds(lower, upper)
+        else:
+            raise ValueError("a HighsLp re-solves one LP; only its column "
+                             "bounds may change")
+        self._lower, self._upper = lower, upper
+        model_status, iterations = self._run()
+        ambiguous = model_status.name == "kUnboundedOrInfeasible"
+        if ambiguous and not self._presolve:
+            # the dual simplex alone cannot tell which; presolve can
+            cold = HighsLp(self._opts, presolve=True).solve(form)
+            return LpResult(cold.status, cold.values, cold.objective,
+                            iterations + cold.iterations)
+        status = self._VERDICTS.get(model_status.name)
+        if status is None:
+            raise SolverError(
+                "LP backend failed: HiGHS model status "
+                f"{self._highs.modelStatusToString(model_status)} "
+                f"({model_status.name})")
+        if status != OPTIMAL:
+            objective = -np.inf if status == UNBOUNDED else np.inf
+            return LpResult(status, None, objective, iterations)
+        return LpResult(
+            status, np.asarray(self._highs.getSolution().col_value),
+            float(self._highs.getInfo().objective_function_value),
+            iterations)
+
+
+def solve_lp(form: LpStandardForm, opts: SolveOptions | None = None,
+             model: HighsLp | None = None) -> LpResult:
+    """Solve one LP to a vertex with HiGHS dual simplex.
+
+    ``model`` warm-starts the solve from a HighsLp that already holds this
+    LP under other column bounds (``solve_milp`` passes one per search);
+    without it a fresh model is built from ``opts``.
+    """
+    if model is None:
+        model = HighsLp(opts or SolveOptions())
+    return model.solve(form)
 
 
 def _check_binary_mask(problem) -> np.ndarray:
@@ -151,6 +296,8 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     base_lower = problem.lower
     base_upper = problem.upper
 
+    model = HighsLp(opts)
+
     def lp(overrides) -> LpResult:
         lower = base_lower
         upper = base_upper
@@ -160,7 +307,7 @@ def solve_milp(problem, opts: SolveOptions | None = None,
             for j, lo, hi in overrides:
                 lower[j], upper[j] = lo, hi
         return solve_lp(LpStandardForm(c, A_ub, b_ub, A_eq, b_eq,
-                                       lower, upper), opts)
+                                       lower, upper), opts, model)
 
     nodes = 0
     lp_iterations = 0

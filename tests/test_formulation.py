@@ -16,12 +16,13 @@ from dsomarket.formulation import (
     NonOptimalStatus,
     Row,
     VariableRegistry,
+    add_network_constraints,
     build,
     build_registry,
     decode,
     expected_row_count,
 )
-from dsomarket.model import ScenarioValidationError
+from dsomarket.model import InconsistentTopology, ScenarioValidationError
 
 
 def test_registry_is_bijective_and_ordered():
@@ -147,6 +148,32 @@ def test_voltage_drop_row_uses_network_base(bundled, bundled_problem):
     reg = bundled_problem.registry
     assert coef[reg[("Pl", br.id, 1)]] == pytest.approx(
         br.r / bundled.network.s_base)
+
+
+def test_balance_rows_list_branches_in_order(bundled, bundled_problem):
+    # reference: scan every branch for every bus, as the incidence defines
+    net = bundled.network
+    reg = bundled_problem.registry
+    rows = {row.name: row for row in bundled_problem.rows}
+    for t in bundled.horizon.steps:
+        for bus in net.buses:
+            for kind, flow in (("p", "Pl"), ("q", "Ql")):
+                row = rows[f"{kind}_balance[{t},{bus.id}]"]
+                flows = {reg[(flow, br.id, t)]: br for br in net.branches}
+                terms = [(flows[j].id, c) for j, c in zip(row.cols, row.coefs)
+                         if j in flows]
+                assert terms == [(br.id, float(net.incidence(br, bus.id)))
+                                 for br in net.branches
+                                 if net.incidence(br, bus.id)]
+
+
+def test_network_rows_reject_self_loop(bundled):
+    net = bundled.network
+    loop = replace(net.branches[0], to_bus=net.branches[0].from_bus)
+    s = replace(bundled, network=replace(
+        net, branches=(loop,) + net.branches[1:]))
+    with pytest.raises(InconsistentTopology):
+        add_network_constraints(s, build_registry(bundled))
 
 
 def test_aggregation_rows_cross_map_sides(bundled, bundled_problem):

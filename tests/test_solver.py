@@ -1,7 +1,16 @@
 """LP backend and branch-and-bound: statuses, options, search behavior."""
 
+import importlib.util
+import inspect
+import re
+import sys
+import types
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from oracles import (
     enumerate_binaries_milp,
@@ -9,14 +18,21 @@ from oracles import (
     random_milp,
     vertex_enumeration_lp,
 )
-from dsomarket.formulation import LE
+from dsomarket import solver
+from dsomarket.casestudy import bundled_case_study
+from dsomarket.formulation import LE, build
+from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import (
+    HIGHS_METHODS,
     INFEASIBLE,
     NODE_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    HighsLp,
     LpStandardForm,
     SolveOptions,
+    SolverError,
+    highs_bindings,
     solve_lp,
     solve_milp,
 )
@@ -196,3 +212,195 @@ def test_milp_solution_is_feasible_and_integral():
         assert problem.max_residual(sol.values) <= 1e-6
         frac = sol.values[np.flatnonzero(integrality)]
         assert np.all(np.abs(frac - np.round(frac)) <= 1e-6)
+
+
+# --- the HiGHS backend: status mapping, warm starts, private-API guard ---
+
+def _lp_cases():
+    # min -x  s.t.  x - w <= 5,  y + z <= 1,  y >= 2: the rows in y and z
+    # are infeasible, and x = w is a ray along which the objective falls
+    infeasible_with_ray = LpStandardForm(
+        c=np.array([-1.0, 0.0, 0.0, 0.0]),
+        A_ub=np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+                       [0.0, 0.0, -1.0, 0.0]]),
+        b_ub=np.array([5.0, 1.0, -2.0]),
+        lower=np.zeros(4), upper=np.full(4, np.inf))
+    infeasible = LpStandardForm(
+        c=np.array([1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),
+        lower=np.zeros(1), upper=np.ones(1))
+    unbounded = LpStandardForm(c=np.array([-1.0]), lower=np.zeros(1),
+                               upper=np.array([np.inf]))
+    degenerate = LpStandardForm(
+        c=np.array([-1.0, 0.0]),
+        A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
+        b_ub=np.array([1.0, 1.0, 2.0, 1.0]),
+        lower=np.zeros(2), upper=np.full(2, 10.0))
+    return {"infeasible_with_ray": (infeasible_with_ray, INFEASIBLE),
+            "infeasible": (infeasible, INFEASIBLE),
+            "unbounded": (unbounded, UNBOUNDED),
+            "degenerate": (degenerate, OPTIMAL)}
+
+
+def _linprog_status(form):
+    res = linprog(form.c, A_ub=form.A_ub, b_ub=form.b_ub,
+                  bounds=np.column_stack([form.lower, form.upper]),
+                  method="highs-ds")
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+
+
+@pytest.mark.parametrize("case", list(_lp_cases()))
+def test_lp_status_matches_linprog(case):
+    form, expected = _lp_cases()[case]
+    assert _linprog_status(form) == expected
+    res = solve_lp(form)
+    assert res.status == expected
+    assert (res.values is not None) == (expected == OPTIMAL)
+
+
+def _report_status(monkeypatch, name, presolve_too=False):
+    """Make HiGHS report model status ``name`` after each run (only with
+    presolve off unless ``presolve_too``)."""
+    run = HighsLp._run
+
+    def reported(self):
+        status, iterations = run(self)
+        if presolve_too or not self._presolve:
+            status = getattr(HighsLp._core.HighsModelStatus, name)
+        return status, iterations
+    monkeypatch.setattr(HighsLp, "_run", reported)
+
+
+@pytest.mark.parametrize("case", ["infeasible_with_ray", "infeasible",
+                                  "unbounded"])
+def test_unbounded_or_infeasible_settled_by_presolve(monkeypatch, case):
+    form, expected = _lp_cases()[case]
+    _report_status(monkeypatch, "kUnboundedOrInfeasible")
+    assert solve_lp(form).status == expected == _linprog_status(form)
+
+
+@pytest.mark.parametrize("name,presolve_too", [
+    ("kUnboundedOrInfeasible", True),
+    ("kSolveError", False),
+    ("kTimeLimit", False),
+])
+def test_other_model_statuses_raise(monkeypatch, name, presolve_too):
+    form, _ = _lp_cases()["infeasible"]
+    _report_status(monkeypatch, name, presolve_too)
+    with pytest.raises(SolverError, match=name):
+        solve_lp(form)
+
+
+@pytest.mark.parametrize("field_name", ["c", "A_ub", "b_ub"])
+def test_lp_rejects_nan_input(field_name):
+    form, _ = _lp_cases()["degenerate"]
+    bad = np.array(getattr(form, field_name), dtype=float)
+    bad.flat[0] = np.nan
+    with pytest.raises(ValueError):
+        solve_lp(replace(form, **{field_name: bad}))
+
+
+def test_model_refuses_another_lp():
+    form, _ = _lp_cases()["degenerate"]
+    model = HighsLp(SolveOptions())
+    solve_lp(form, model=model)
+    with pytest.raises(ValueError):
+        solve_lp(replace(form, c=form.c.copy()), model=model)
+
+
+def _ladder_rung_2():
+    spec = importlib.util.spec_from_file_location(
+        "ladder", Path(__file__).parents[1] / "bench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()), 2, 0)
+    return scenario_from_dict(doc)[0]
+
+
+def _node_fix_sets(problem, rng):
+    """A seeded sequence of node-fix sets ({column: value}) that mixes
+    random binary fixes with the cases a warm start must get right."""
+    int_cols = np.flatnonzero(problem.integrality)
+    reg = problem.registry
+
+    def random_fixes():
+        cols = rng.choice(int_cols, size=len(int_cols) // 2, replace=False)
+        return {int(j): float(rng.integers(0, 2)) for j in cols}
+
+    base = random_fixes()
+    free = int(next(j for j in int_cols if j not in base))
+    # a discharging storage that must charge at full rate: no LP point
+    _, t, esag = reg.key_of(int(int_cols[0]))     # ("b_es", t, name)
+    mode, charge = reg[("b_es", t, esag)], reg[("P_ch", t, esag)]
+    conflict = {mode: 1.0, charge: float(problem.upper[charge])}
+    root = solve_lp(_node_form(problem, {}))
+    dive = {int(j): float(np.floor(root.values[j] + 0.5)) for j in int_cols}
+    return [
+        ("root", {}),
+        ("random", base),
+        ("fix", {**base, free: 1.0}),
+        ("unfix", base),
+        ("infeasible", {**base, **conflict}),
+        ("after infeasible", {**base, mode: 1.0}),
+        ("rounding dive", dive),
+        ("next node", {free: 0.0}),
+        ("random", random_fixes()),
+        ("random", random_fixes()),
+    ]
+
+
+def _node_form(problem, fixes):
+    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
+    lower, upper = problem.lower.copy(), problem.upper.copy()
+    for j, v in fixes.items():
+        lower[j] = upper[j] = v
+    return LpStandardForm(problem.objective, A_ub, b_ub, A_eq, b_eq,
+                          lower, upper)
+
+
+@pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
+def test_persistent_model_matches_fresh_model(scenario):
+    s = bundled_case_study() if scenario == "bundled" else _ladder_rung_2()
+    problem = build(s)
+    rng = np.random.default_rng(20240611)
+    opts = SolveOptions()
+    model = HighsLp(opts)
+    warm_iterations = cold_iterations = 0
+    statuses = {}
+    for label, fixes in _node_fix_sets(problem, rng):
+        form = _node_form(problem, fixes)
+        warm = solve_lp(form, opts, model)
+        cold = solve_lp(form, opts)
+        statuses[label] = warm.status
+        assert warm.status == cold.status, label
+        if cold.status == OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= \
+                1e-9 * max(1.0, abs(cold.objective)), label
+            assert problem.max_residual(warm.values) <= 1e-6, label
+        warm_iterations += warm.iterations
+        cold_iterations += cold.iterations
+    assert statuses["infeasible"] == INFEASIBLE
+    assert statuses["after infeasible"] == OPTIMAL
+    assert warm_iterations < cold_iterations
+
+
+def test_highs_bindings_guard(monkeypatch):
+    methods = {"setOptionValue", "passModel", "changeColsBounds", "run",
+               "getModelStatus", "modelStatusToString", "getInfo",
+               "getSolution"}
+    assert set(HIGHS_METHODS) == methods
+    core = highs_bindings()
+    assert all(callable(getattr(core._Highs, name)) for name in methods)
+    # the list covers every call solver.py makes on a HiGHS instance
+    called = set(re.findall(r"self\._highs\.(\w+)\(",
+                            inspect.getsource(solver)))
+    assert called == methods
+
+    stub = types.ModuleType("stub_highs")
+    stub._Highs = type("_Highs", (), {name: None for name in methods
+                                      if name != "changeColsBounds"})
+    monkeypatch.setitem(sys.modules, "stub_highs", stub)
+    with pytest.raises(ImportError,
+                       match=r"scipy>=1\.17.*_Highs\.changeColsBounds"):
+        highs_bindings("stub_highs")
+    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+        highs_bindings("stub_highs_missing")
