@@ -98,30 +98,45 @@ def _finite(name: str, values) -> np.ndarray:
     return values
 
 
+def _row_block(kind: str, A, b, n: int):
+    """The rows ``A_kind x (<= or ==) b_kind`` as (CSR matrix, rhs), checked
+    to be m x n and m long: HiGHS reads its buffers by the counts given.
+    A missing matrix or right-hand side stands for zero rows."""
+    A = sparse.csr_array((0, n)) if A is None else sparse.csr_array(A)
+    b = _finite(f"b_{kind}", np.empty(0) if b is None else b)
+    if A.ndim != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
+        raise ValueError(
+            f"A_{kind} has shape {A.shape} and b_{kind} {b.shape}; "
+            f"expected (m, {n}) and (m,)")
+    _finite(f"A_{kind}", A.data)
+    return A, b
+
+
 # Every method of the private ``_Highs`` class that HighsLp calls.  They are
 # checked when this module is imported, so a scipy without them fails there.
 HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds", "run",
                  "getModelStatus", "modelStatusToString", "getInfo",
                  "getSolution")
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 SCIPY_NEEDED = "scipy>=1.17"
 
 
-def highs_bindings(module: str = "scipy.optimize._highspy._core"):
+def highs_bindings():
     """Import scipy's private HiGHS bindings and check that ``_Highs`` has
     every method in ``HIGHS_METHODS``; raise ImportError naming the scipy
     version needed otherwise."""
     try:
-        core = importlib.import_module(module)
+        core = importlib.import_module(HIGHS_MODULE)
     except ImportError as exc:
         raise ImportError(
             f"dsomarket needs {SCIPY_NEEDED}: cannot import the HiGHS "
-            f"bindings {module} ({exc})") from exc
+            f"bindings {HIGHS_MODULE} ({exc})") from exc
     missing = [name for name in HIGHS_METHODS
                if not hasattr(getattr(core, "_Highs", None), name)]
     if missing:
         raise ImportError(
-            f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings {module} "
-            f"lack _Highs.{', _Highs.'.join(missing)}")
+            f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings "
+            f"{HIGHS_MODULE} lack _Highs.{', _Highs.'.join(missing)}")
     return core
 
 
@@ -164,27 +179,15 @@ class HighsLp:
     def _load(self, form: LpStandardForm, lower, upper) -> None:
         c = _finite("c", form.c)
         n = len(c)
-        blocks, row_lower, row_upper = [], [], []
-        if form.A_ub is not None:
-            b_ub = _finite("b_ub", form.b_ub)
-            blocks.append(sparse.csr_array(form.A_ub))
-            row_lower.append(np.full(len(b_ub), -np.inf))
-            row_upper.append(b_ub)
-        if form.A_eq is not None:
-            b_eq = _finite("b_eq", form.b_eq)
-            blocks.append(sparse.csr_array(form.A_eq))
-            row_lower.append(b_eq)
-            row_upper.append(b_eq)
-        A = (sparse.vstack(blocks, format="csc") if blocks
-             else sparse.csc_array((0, n)))
-        _finite("the constraint matrix", A.data)
-        m = A.shape[0]
+        A_ub, b_ub = _row_block("ub", form.A_ub, form.b_ub, n)
+        A_eq, b_eq = _row_block("eq", form.A_eq, form.b_eq, n)
+        A = sparse.vstack([A_ub, A_eq], format="csc")
         self._check(self._highs.passModel(
-            n, m, A.nnz,
+            n, A.shape[0], A.nnz,
             1, 1, 0.0,      # column-wise matrix, minimise, no offset
             c, lower, upper,
-            np.concatenate(row_lower) if m else np.empty(0),
-            np.concatenate(row_upper) if m else np.empty(0),
+            np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+            np.concatenate([b_ub, b_eq]),
             A.indptr.astype(np.int32), A.indices.astype(np.int32),
             A.data.astype(float),
             np.zeros(n, dtype=np.int32)),    # every column continuous
@@ -212,11 +215,17 @@ class HighsLp:
                 int(self._highs.getInfo().simplex_iteration_count))
 
     def solve(self, form: LpStandardForm) -> LpResult:
+        if np.ndim(form.c) != 1:
+            raise ValueError(f"c must be 1-D, got shape {np.shape(form.c)}")
         n = len(form.c)
         lower = np.array(form.lower if form.lower is not None
                          else np.zeros(n), dtype=float)
         upper = np.array(form.upper if form.upper is not None
                          else np.full(n, np.inf), dtype=float)
+        if lower.shape != (n,) or upper.shape != (n,):
+            raise ValueError(
+                f"column bounds must be as long as c ({n}); got lower "
+                f"{lower.shape}, upper {upper.shape}")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("LP column bounds must not contain nan")
         if self._form is None:

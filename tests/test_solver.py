@@ -24,6 +24,7 @@ from dsomarket.formulation import LE, build
 from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import (
     HIGHS_METHODS,
+    HIGHS_MODULE,
     INFEASIBLE,
     NODE_LIMIT,
     OPTIMAL,
@@ -59,30 +60,32 @@ def test_lp_known_optimum():
     assert res.values[0] + res.values[1] == pytest.approx(1.0)
 
 
+# redundant, coincident constraints at the optimum
+DEGENERATE_LP = LpStandardForm(
+    c=np.array([-1.0, 0.0]),
+    A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
+    b_ub=np.array([1.0, 1.0, 2.0, 1.0]),
+    lower=np.zeros(2), upper=np.full(2, 10.0))
+INFEASIBLE_LP = LpStandardForm(
+    c=np.array([1.0]),
+    A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),   # x >= 2
+    lower=np.zeros(1), upper=np.ones(1))
+UNBOUNDED_LP = LpStandardForm(c=np.array([-1.0]), lower=np.zeros(1),
+                              upper=np.array([np.inf]))
+
+
 def test_lp_degenerate_still_optimal():
-    # redundant, coincident constraints at the optimum
-    form = LpStandardForm(
-        c=np.array([-1.0, 0.0]),
-        A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
-        b_ub=np.array([1.0, 1.0, 2.0, 1.0]),
-        lower=np.zeros(2), upper=np.full(2, 10.0))
-    res = solve_lp(form)
+    res = solve_lp(DEGENERATE_LP)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-1.0)
 
 
 def test_lp_infeasible_status():
-    form = LpStandardForm(
-        c=np.array([1.0]),
-        A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),   # x >= 2
-        lower=np.zeros(1), upper=np.ones(1))
-    assert solve_lp(form).status == INFEASIBLE
+    assert solve_lp(INFEASIBLE_LP).status == INFEASIBLE
 
 
 def test_lp_unbounded_status():
-    form = LpStandardForm(c=np.array([-1.0]), lower=np.zeros(1),
-                          upper=np.array([np.inf]))
-    assert solve_lp(form).status == UNBOUNDED
+    assert solve_lp(UNBOUNDED_LP).status == UNBOUNDED
 
 
 def test_milp_known_knapsack():
@@ -216,29 +219,20 @@ def test_milp_solution_is_feasible_and_integral():
 
 # --- the HiGHS backend: status mapping, warm starts, private-API guard ---
 
-def _lp_cases():
-    # min -x  s.t.  x - w <= 5,  y + z <= 1,  y >= 2: the rows in y and z
-    # are infeasible, and x = w is a ray along which the objective falls
-    infeasible_with_ray = LpStandardForm(
-        c=np.array([-1.0, 0.0, 0.0, 0.0]),
-        A_ub=np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
-                       [0.0, 0.0, -1.0, 0.0]]),
-        b_ub=np.array([5.0, 1.0, -2.0]),
-        lower=np.zeros(4), upper=np.full(4, np.inf))
-    infeasible = LpStandardForm(
-        c=np.array([1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),
-        lower=np.zeros(1), upper=np.ones(1))
-    unbounded = LpStandardForm(c=np.array([-1.0]), lower=np.zeros(1),
-                               upper=np.array([np.inf]))
-    degenerate = LpStandardForm(
-        c=np.array([-1.0, 0.0]),
-        A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
-        b_ub=np.array([1.0, 1.0, 2.0, 1.0]),
-        lower=np.zeros(2), upper=np.full(2, 10.0))
-    return {"infeasible_with_ray": (infeasible_with_ray, INFEASIBLE),
-            "infeasible": (infeasible, INFEASIBLE),
-            "unbounded": (unbounded, UNBOUNDED),
-            "degenerate": (degenerate, OPTIMAL)}
+# min -x  s.t.  x - w <= 5,  y + z <= 1,  y >= 2: the rows in y and z are
+# infeasible, and x = w is a ray along which the objective falls
+INFEASIBLE_WITH_RAY_LP = LpStandardForm(
+    c=np.array([-1.0, 0.0, 0.0, 0.0]),
+    A_ub=np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+                   [0.0, 0.0, -1.0, 0.0]]),
+    b_ub=np.array([5.0, 1.0, -2.0]),
+    lower=np.zeros(4), upper=np.full(4, np.inf))
+
+
+LP_CASES = {"infeasible_with_ray": (INFEASIBLE_WITH_RAY_LP, INFEASIBLE),
+            "infeasible": (INFEASIBLE_LP, INFEASIBLE),
+            "unbounded": (UNBOUNDED_LP, UNBOUNDED),
+            "degenerate": (DEGENERATE_LP, OPTIMAL)}
 
 
 def _linprog_status(form):
@@ -248,9 +242,9 @@ def _linprog_status(form):
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
 
 
-@pytest.mark.parametrize("case", list(_lp_cases()))
+@pytest.mark.parametrize("case", list(LP_CASES))
 def test_lp_status_matches_linprog(case):
-    form, expected = _lp_cases()[case]
+    form, expected = LP_CASES[case]
     assert _linprog_status(form) == expected
     res = solve_lp(form)
     assert res.status == expected
@@ -273,7 +267,7 @@ def _report_status(monkeypatch, name, presolve_too=False):
 @pytest.mark.parametrize("case", ["infeasible_with_ray", "infeasible",
                                   "unbounded"])
 def test_unbounded_or_infeasible_settled_by_presolve(monkeypatch, case):
-    form, expected = _lp_cases()[case]
+    form, expected = LP_CASES[case]
     _report_status(monkeypatch, "kUnboundedOrInfeasible")
     assert solve_lp(form).status == expected == _linprog_status(form)
 
@@ -284,27 +278,55 @@ def test_unbounded_or_infeasible_settled_by_presolve(monkeypatch, case):
     ("kTimeLimit", False),
 ])
 def test_other_model_statuses_raise(monkeypatch, name, presolve_too):
-    form, _ = _lp_cases()["infeasible"]
     _report_status(monkeypatch, name, presolve_too)
     with pytest.raises(SolverError, match=name):
-        solve_lp(form)
+        solve_lp(INFEASIBLE_LP)
 
 
-@pytest.mark.parametrize("field_name", ["c", "A_ub", "b_ub"])
-def test_lp_rejects_nan_input(field_name):
-    form, _ = _lp_cases()["degenerate"]
-    bad = np.array(getattr(form, field_name), dtype=float)
-    bad.flat[0] = np.nan
+def _with_nan(values):
+    values = np.array(values, dtype=float)
+    values.flat[0] = np.nan
+    return values
+
+
+# HiGHS reads its input buffers by the counts it is given, so every length
+# must be checked against c and the matrix shapes before the model is loaded
+_EQ_ROW = {"A_eq": np.array([[1.0, 1.0]]), "b_eq": np.array([1.0])}
+
+
+@pytest.mark.parametrize("changes", [
+    {"c": _with_nan(DEGENERATE_LP.c)},
+    {"A_ub": _with_nan(DEGENERATE_LP.A_ub)},
+    {"b_ub": _with_nan(DEGENERATE_LP.b_ub)},
+    {"c": np.array([[-1.0, 0.0]])},
+    {"lower": np.zeros(1)},
+    {"upper": np.full(3, 10.0)},
+    {"A_ub": DEGENERATE_LP.A_ub[:, :1]},
+    {"b_ub": DEGENERATE_LP.b_ub[:3]},
+    {"b_ub": None},
+    {**_EQ_ROW, "A_eq": np.array([[1.0, 1.0, 1.0]])},
+    {**_EQ_ROW, "b_eq": np.ones(2)},
+    {"b_eq": np.ones(1)},
+], ids=["c nan", "A_ub nan", "b_ub nan", "c 2-D", "lower short",
+        "upper long", "A_ub narrow", "b_ub short", "b_ub missing",
+        "A_eq wide", "b_eq long", "A_eq missing"])
+def test_lp_rejects_malformed_input(changes):
     with pytest.raises(ValueError):
-        solve_lp(replace(form, **{field_name: bad}))
+        solve_lp(replace(DEGENERATE_LP, **changes))
+    # a loaded model checks the bounds of each later solve as well
+    model = HighsLp(SolveOptions())
+    solve_lp(DEGENERATE_LP, model=model)
+    if {"lower", "upper"} & set(changes):
+        with pytest.raises(ValueError):
+            solve_lp(replace(DEGENERATE_LP, **changes), model=model)
 
 
 def test_model_refuses_another_lp():
-    form, _ = _lp_cases()["degenerate"]
     model = HighsLp(SolveOptions())
-    solve_lp(form, model=model)
+    solve_lp(DEGENERATE_LP, model=model)
     with pytest.raises(ValueError):
-        solve_lp(replace(form, c=form.c.copy()), model=model)
+        solve_lp(replace(DEGENERATE_LP, c=DEGENERATE_LP.c.copy()),
+                 model=model)
 
 
 def _ladder_rung_2():
@@ -384,23 +406,21 @@ def test_persistent_model_matches_fresh_model(scenario):
 
 
 def test_highs_bindings_guard(monkeypatch):
-    methods = {"setOptionValue", "passModel", "changeColsBounds", "run",
-               "getModelStatus", "modelStatusToString", "getInfo",
-               "getSolution"}
-    assert set(HIGHS_METHODS) == methods
     core = highs_bindings()
-    assert all(callable(getattr(core._Highs, name)) for name in methods)
+    assert all(callable(getattr(core._Highs, name))
+               for name in HIGHS_METHODS)
     # the list covers every call solver.py makes on a HiGHS instance
     called = set(re.findall(r"self\._highs\.(\w+)\(",
                             inspect.getsource(solver)))
-    assert called == methods
+    assert called == set(HIGHS_METHODS)
 
     stub = types.ModuleType("stub_highs")
-    stub._Highs = type("_Highs", (), {name: None for name in methods
+    stub._Highs = type("_Highs", (), {name: None for name in HIGHS_METHODS
                                       if name != "changeColsBounds"})
-    monkeypatch.setitem(sys.modules, "stub_highs", stub)
+    monkeypatch.setitem(sys.modules, HIGHS_MODULE, stub)
     with pytest.raises(ImportError,
                        match=r"scipy>=1\.17.*_Highs\.changeColsBounds"):
-        highs_bindings("stub_highs")
+        highs_bindings()
+    monkeypatch.setitem(sys.modules, HIGHS_MODULE, None)
     with pytest.raises(ImportError, match=r"scipy>=1\.17"):
-        highs_bindings("stub_highs_missing")
+        highs_bindings()
