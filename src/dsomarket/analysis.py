@@ -14,10 +14,18 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .formulation import Schedule, build, decode
-from .model import KIND_DRAG, KIND_EVCS, Scenario
+import numpy as np
+
+from .formulation import MilpProblem, Schedule, build, build_objective, decode
+from .model import (
+    KIND_DRAG,
+    KIND_EVCS,
+    Scenario,
+    ScenarioValidationError,
+    validate_scenario,
+)
 from .scenario_io import scenario_hash
-from .solver import OPTIMAL, SolveOptions, solve_milp
+from .solver import OPTIMAL, HighsLp, SolveOptions, solve_milp
 
 
 class StaleSchedule(ValueError):
@@ -151,50 +159,107 @@ def scale_energy_offers(scenario: Scenario, target: str,
     return out
 
 
-def _solve_case(args) -> SweepCase:
-    scenario, target, i, opts = args
+# Sweep cases per chunk.  A constant, not an option: the chunks fix which
+# case warm-starts which, so they must not depend on the worker count.
+CHUNK_CASES = 10
+
+
+@dataclass
+class _WarmStart:
+    """What a chunk's consecutive cases share: the first case's problem,
+    one HiGHS model holding its constraints, and the last case's optimum."""
+
+    base: MilpProblem | None = None
+    model: HighsLp | None = None
+    start: np.ndarray | None = None
+
+    def reset(self) -> None:
+        self.base = self.model = self.start = None
+
+
+def _case_problem(case: Scenario, base: MilpProblem | None) -> MilpProblem:
+    """Build the case, or, given the base problem of another case of the
+    same sweep, reuse its constraints with this case's objective."""
+    if base is None:
+        return build(case)
+    report = validate_scenario(case)
+    if not report.ok:
+        raise ScenarioValidationError(report)
+    problem = replace(base, objective=build_objective(case, base.registry))
+    # share the assembled matrix too: the HiGHS model holds these arrays
+    vars(problem)["relaxation_arrays"] = base.relaxation_arrays
+    return problem
+
+
+def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,
+                warm: _WarmStart) -> SweepCase:
     multiplier = i / 10.0
     case = scale_energy_offers(scenario, target, multiplier)
     try:
-        problem = build(case)
-        solution = solve_milp(problem, opts)
+        problem = _case_problem(case, warm.base)
+        if warm.model is None:
+            warm.base, warm.model = problem, HighsLp(opts)
+        solution = solve_milp(problem, opts, model=warm.model,
+                              start=warm.start)
         if solution.status != OPTIMAL:
+            warm.reset()
             return SweepCase(i, multiplier, solution.status,
                             solution.objective, None)
+        warm.start = solution.values
         schedule = decode(case, problem, solution.values, solution.status)
         revenue = compute_revenue(schedule, case)
         return SweepCase(i, multiplier, solution.status,
                         solution.objective, revenue)
     except Exception as exc:   # per-case failures are recorded, not raised
+        warm.reset()           # the next case starts cold
         return SweepCase(i, multiplier, "Error", float("nan"), None, str(exc))
+
+
+def _solve_chunk(args) -> list[SweepCase]:
+    scenario, target, indices, opts = args
+    warm = _WarmStart()
+    return [_solve_case(scenario, target, i, opts, warm) for i in indices]
 
 
 def run_sweep(scenario: Scenario, target: str, cases: int = 40,
               opts: SolveOptions | None = None,
               threads: int | None = None) -> SweepResult:
     """Solve the scenario with the target's energy offers scaled by i/10
-    for i = 1..cases.  Cases are independent; output is ordered by i.
+    for i = 1..cases; output is ordered by i.
 
     Only the target's objective coefficients change between cases, so the
-    feasible set is the same in every case.  Hence the target's energy
-    weighted by its base offers (energy revenue / multiplier) is
-    non-increasing in the multiplier, up to the solver's relative gap.
-    Its revenue is not monotone: entities settle at their own offer
-    prices, so revenue rises with the multiplier wherever the schedule
-    stays put, and capacity and mileage revenue follow the schedule.
+    feasible set is the same in every case.  The cases are solved in
+    chunks of ``CHUNK_CASES`` consecutive indices.  A chunk builds its
+    first case once; each later case reuses those constraints with its own
+    objective, re-solves on the same HiGHS model from the basis the last
+    case left, and seeds its incumbent with the last case's optimum, which
+    is feasible by construction.  A case that fails or ends non-optimal
+    makes the next one start cold.  Chunks run in parallel on ``threads``
+    workers (default ``DSO_THREADS``, else the CPU count), but their
+    boundaries depend only on ``cases``, so every case starts from the
+    same state and the results do not depend on the worker count.
+
+    Since the feasible set is shared, the target's energy weighted by its
+    base offers (energy revenue / multiplier) is non-increasing in the
+    multiplier, up to the solver's relative gap.  Its revenue is not
+    monotone: entities settle at their own offer prices, so revenue rises
+    with the multiplier wherever the schedule stays put, and capacity and
+    mileage revenue follow the schedule.
     """
     scenario.find_aggregator(target)   # KeyError early if absent
     opts = opts or SolveOptions()
     if threads is None:
         threads = int(os.environ.get("DSO_THREADS", os.cpu_count() or 1))
-    jobs = [(scenario, target, i, opts) for i in range(1, cases + 1)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_case, jobs))
+    indices = range(1, cases + 1)
+    jobs = [(scenario, target, tuple(indices[k:k + CHUNK_CASES]), opts)
+            for k in range(0, cases, CHUNK_CASES)]
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            chunks = list(pool.map(_solve_chunk, jobs))
     else:
-        results = [_solve_case(job) for job in jobs]
-    results.sort(key=lambda c: c.index)
-    return SweepResult(target=target, cases=tuple(results))
+        chunks = [_solve_chunk(job) for job in jobs]
+    return SweepResult(target=target,
+                       cases=tuple(case for chunk in chunks for case in chunk))
 
 
 def export_sweep(result: SweepResult, path: str) -> None:

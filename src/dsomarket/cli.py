@@ -88,7 +88,11 @@ def _cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     started = time.monotonic()
-    solution = solver.solve_milp(problem, opts)
+    try:
+        solution = solver.solve_milp(problem, opts)
+    except solver.SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_OPTIMAL
     elapsed = time.monotonic() - started
     print(f"status={solution.status} objective={solution.objective:.6f} "
           f"nodes={solution.nodes_explored} gap={solution.gap:.2e} "

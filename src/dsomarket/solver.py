@@ -7,7 +7,9 @@ HiGHS model with presolve off; every node then only changes the bounds of
 the binary columns it fixes, and the dual simplex restarts from the basis
 the previous node left, so a node costs a few pivots instead of a full
 solve.  A one-shot ``solve_lp`` runs the same code on a fresh model.
-The branch-and-bound search on top is our own: best-first node order
+Problems that differ only in their objective, such as the cases of a price
+sweep, can share one model (only the changed costs are sent) and seed each
+search with the previous optimum.  The branch-and-bound search on top is our own: best-first node order
 with insertion-order tie-breaking, branching on the most fractional
 binary with lowest-index tie-breaking.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -114,9 +116,9 @@ def _row_block(kind: str, A, b, n: int):
 
 # Every method of the private ``_Highs`` class that HighsLp calls.  They are
 # checked when this module is imported, so a scipy without them fails there.
-HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds", "run",
-                 "getModelStatus", "modelStatusToString", "getInfo",
-                 "getSolution")
+HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds",
+                 "changeColsCost", "run", "getModelStatus",
+                 "modelStatusToString", "getInfo", "getSolution")
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 SCIPY_NEEDED = "scipy>=1.17"
 
@@ -147,8 +149,8 @@ class HighsLp:
     the same objective and constraint arrays and change only the column
     bounds.  Only the columns whose bounds differ from the loaded ones are
     sent to HiGHS, and the dual simplex restarts from the basis the last
-    solve left.  This class is the package's only user of the private
-    HiGHS bindings.
+    solve left.  The objective changes only through ``change_costs``.
+    This class is the package's only user of the private HiGHS bindings.
     """
 
     _core = highs_bindings()
@@ -193,6 +195,28 @@ class HighsLp:
             np.zeros(n, dtype=np.int32)),    # every column continuous
             "loading the model")
         self._form = form
+
+    @property
+    def loaded(self) -> bool:
+        return self._form is not None
+
+    def change_costs(self, c) -> None:
+        """Make ``c`` the objective of the loaded LP.  Only the columns whose
+        cost changes are sent to HiGHS and the basis is kept, so the next
+        solve restarts from it; that solve must pass this ``c`` object."""
+        if self._form is None:
+            raise ValueError("no LP is loaded to change the costs of")
+        c = _finite("c", c)
+        held = self._form.c
+        if c.shape != held.shape:
+            raise ValueError(
+                f"c must have the loaded shape {held.shape}, got {c.shape}")
+        changed = np.flatnonzero(c != held)
+        if changed.size:
+            self._check(self._highs.changeColsCost(
+                changed.size, changed.astype(np.int32), c[changed]),
+                "changing costs")
+        self._form = replace(self._form, c=c)
 
     def _same_lp(self, form: LpStandardForm) -> bool:
         held = self._form
@@ -290,13 +314,44 @@ def _pick_branch_column(frac_cols, fractions, rule: str) -> int:
     return int(frac_cols[int(np.argmax(dist))])
 
 
+def _check_start(problem, start, int_cols, opts: SolveOptions) -> np.ndarray:
+    """``start`` as a float vector; ValueError unless it is a point of the
+    problem: integral on the binary columns and within ``feasibility_tol``
+    of every bound and row."""
+    x = np.array(start, dtype=float)
+    if x.shape != (problem.num_cols,):
+        raise ValueError(f"start has shape {x.shape}, problem has "
+                         f"{problem.num_cols} columns")
+    _finite("start", x)
+    binary = x[int_cols]
+    if np.any(np.abs(binary - np.round(binary)) > opts.integrality_tol):
+        raise ValueError("start is fractional on a binary column")
+    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
+    excess = [problem.lower - x, x - problem.upper]
+    if A_ub is not None:
+        excess.append(A_ub @ x - b_ub)
+    if A_eq is not None:
+        excess.append(np.abs(A_eq @ x - b_eq))
+    worst = max(float(np.max(e, initial=0.0)) for e in excess)
+    if worst > opts.feasibility_tol:
+        raise ValueError(f"start violates a bound or row by {worst:.3g}")
+    return x
+
+
 def solve_milp(problem, opts: SolveOptions | None = None,
-               trace: list | None = None) -> MilpSolution:
+               trace: list | None = None, model: HighsLp | None = None,
+               start=None) -> MilpSolution:
     """Branch-and-bound over the problem's binary columns.
 
     ``trace``, when given, collects one ``(depth, parent_bound, lp_objective,
     incumbent_objective)`` tuple per explored node, for diagnostics and
     monotonicity checks.
+
+    ``model`` runs the node LPs on a HighsLp that is empty or already holds
+    this problem's constraint arrays (under any objective and bounds), so
+    the root restarts from the basis the last solve left.  ``start``, a
+    feasible point of the problem, seeds the incumbent, so the search has
+    a cutoff from the first node; an infeasible one raises ValueError.
     """
     opts = opts or SolveOptions()
     int_cols = _check_binary_mask(problem)
@@ -305,7 +360,15 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     base_lower = problem.lower
     base_upper = problem.upper
 
-    model = HighsLp(opts)
+    incumbent: np.ndarray | None = None
+    inc_obj = np.inf
+    if start is not None:
+        incumbent = _check_start(problem, start, int_cols, opts)
+        inc_obj = float(c @ incumbent)
+    if model is None:
+        model = HighsLp(opts)
+    elif model.loaded:
+        model.change_costs(c)
 
     def lp(overrides) -> LpResult:
         lower = base_lower
@@ -320,8 +383,6 @@ def solve_milp(problem, opts: SolveOptions | None = None,
 
     nodes = 0
     lp_iterations = 0
-    incumbent: np.ndarray | None = None
-    inc_obj = np.inf
     counter = 0
     root = BnbNode(overrides=(), bound=-np.inf, depth=0)
     heap: list = [(root.bound, counter, root)]

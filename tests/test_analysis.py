@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from dsomarket import analysis
 from dsomarket.analysis import (
+    CHUNK_CASES,
     StaleSchedule,
     compute_revenue,
     export_sweep,
@@ -14,9 +16,16 @@ from dsomarket.analysis import (
     run_sweep,
     scale_energy_offers,
 )
-from dsomarket.formulation import build, decode
+from dsomarket.formulation import build, build_objective, decode
 from dsomarket.model import DemandBlock
-from dsomarket.solver import OPTIMAL, solve_milp
+from dsomarket.solver import (
+    NODE_LIMIT,
+    OPTIMAL,
+    MilpSolution,
+    SolveOptions,
+    SolverError,
+    solve_milp,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +133,92 @@ def test_sweep_parallel_matches_serial():
         assert a.index == b.index
         assert a.objective == pytest.approx(b.objective, abs=1e-12)
         assert a.revenue.entities == b.revenue.entities
+
+
+@pytest.mark.parametrize("multiplier", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("target", ["drag-1", "esag-1", "evcs-1", "ddgag-1"])
+def test_scaled_case_changes_only_the_objective(bundled, bundled_problem,
+                                                target, multiplier):
+    # the build-once sweep reuses the base problem for every scaled case
+    case = scale_energy_offers(bundled, target, multiplier)
+    base = bundled_problem
+    problem = build(case)
+    assert problem.registry.keys() == base.registry.keys()
+    assert [(r.cols, r.coefs, r.sense, r.rhs) for r in problem.rows] == \
+        [(r.cols, r.coefs, r.sense, r.rhs) for r in base.rows]
+    assert np.array_equal(problem.lower, base.lower)
+    assert np.array_equal(problem.upper, base.upper)
+    assert np.array_equal(problem.integrality, base.integrality)
+    objective = build_objective(case, base.registry)
+    assert problem.objective.tobytes() == objective.tobytes()
+    if multiplier != 1.0:
+        assert not np.array_equal(objective, base.objective)
+
+
+def _cold_objectives(scenario, target, cases):
+    out = []
+    for i in cases:
+        solution = solve_milp(build(scale_energy_offers(
+            scenario, target, i / 10.0)))
+        assert solution.status == OPTIMAL
+        out.append(solution.objective)
+    return out
+
+
+def _assert_within_gap(objective, reference):
+    gap = SolveOptions().relative_gap
+    assert abs(objective - reference) <= gap * max(1.0, abs(reference))
+
+
+def test_sweep_chunks_independent_of_threads(bundled):
+    cases = 2 * CHUNK_CASES + 3     # three chunks, the last one short
+    runs = {threads: run_sweep(bundled, "ddgag-1", cases=cases,
+                               threads=threads)
+            for threads in (1, 2, 3)}
+    assert runs[2].cases == runs[1].cases
+    assert runs[3].cases == runs[1].cases
+    serial = runs[1].cases
+    assert [c.index for c in serial] == list(range(1, cases + 1))
+    assert all(c.status == OPTIMAL for c in serial)
+    cold = _cold_objectives(bundled, "ddgag-1", range(1, cases + 1))
+    for case, reference in zip(serial, cold):
+        _assert_within_gap(case.objective, reference)
+
+
+@pytest.mark.parametrize("failure", ["raises", "node limit"])
+def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
+    calls = []
+
+    def flaky(problem, opts, **warm):
+        # (model, whether it held an LP, whether a start came with it)
+        calls.append((warm["model"], warm["model"].loaded,
+                      warm["start"] is not None))
+        if len(calls) != 3:
+            return solve_milp(problem, opts, **warm)
+        if failure == "raises":
+            raise SolverError("injected failure")
+        return MilpSolution(NODE_LIMIT, None, np.inf, 1, np.inf, 0)
+
+    monkeypatch.setattr(analysis, "solve_milp", flaky)
+    cases = CHUNK_CASES
+    result = run_sweep(bundled, "esag-1", cases=cases, threads=1)
+    failed = result.cases[2]
+    if failure == "raises":
+        assert (failed.status, failed.error) == ("Error", "injected failure")
+    else:
+        assert failed.status == NODE_LIMIT
+    assert failed.revenue is None
+    # the case after the failure starts without the last optimum and on a
+    # fresh model; the one after that is warm again
+    assert calls[1] == (calls[0][0], True, True)
+    assert calls[3][1:] == (False, False)
+    assert calls[3][0] is not calls[0][0]
+    assert calls[4] == (calls[3][0], True, True)
+    later = result.cases[3:]
+    assert all(c.status == OPTIMAL for c in later)
+    cold = _cold_objectives(bundled, "esag-1", range(4, cases + 1))
+    for case, reference in zip(later, cold):
+        _assert_within_gap(case.objective, reference)
 
 
 def test_export_sweep_layout(tmp_path):

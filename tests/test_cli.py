@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import make_scenario
-from dsomarket import cli
+from dsomarket import cli, solver
 from dsomarket.scenario_io import save_scenario
 
 
@@ -83,6 +83,21 @@ def test_solve_infeasible_scenario_exits_2(tmp_path, capsys):
     assert cli.main(["solve", path.as_posix(), "--out",
                      str(tmp_path / "r")]) == 2
     assert "status=Infeasible" in capsys.readouterr().err
+
+
+def test_solve_backend_failure_exits_2(scenario_file, tmp_path, capsys,
+                                      monkeypatch):
+    def fail(problem, opts):
+        raise solver.SolverError("LP backend failed: HiGHS model status "
+                                 "Solve error (kSolveError)")
+
+    monkeypatch.setattr(solver, "solve_milp", fail)
+    out = tmp_path / "r"
+    assert cli.main(["solve", scenario_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LP backend failed")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_writes_csv(scenario_file, tmp_path, capsys):

@@ -19,8 +19,9 @@ from oracles import (
     vertex_enumeration_lp,
 )
 from dsomarket import solver
+from dsomarket.analysis import scale_energy_offers
 from dsomarket.casestudy import bundled_case_study
-from dsomarket.formulation import LE, build
+from dsomarket.formulation import LE, build, build_objective
 from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import (
     HIGHS_METHODS,
@@ -403,6 +404,92 @@ def test_persistent_model_matches_fresh_model(scenario):
     assert statuses["infeasible"] == INFEASIBLE
     assert statuses["after infeasible"] == OPTIMAL
     assert warm_iterations < cold_iterations
+
+
+def _sweep_costs(s, problem, rng):
+    """An endless seeded draw of sweep-case objectives: a random
+    aggregator's energy offers scaled by a random multiplier."""
+    names = [cfg.name for _, cfg in s.aggregators()]
+    while True:
+        name = names[rng.integers(len(names))]
+        multiplier = float(rng.choice([0.1, 0.5, 1.0, 2.0, 4.0]))
+        yield build_objective(scale_energy_offers(s, name, multiplier),
+                              problem.registry)
+
+
+@pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
+def test_cost_changes_match_fresh_model(scenario):
+    s = bundled_case_study() if scenario == "bundled" else _ladder_rung_2()
+    problem = build(s)
+    rng = np.random.default_rng(20240612)
+    costs = _sweep_costs(s, problem, rng)
+    opts = SolveOptions()
+    model = HighsLp(opts)
+    c = problem.objective
+    warm_iterations = cold_iterations = 0
+    for label, fixes in _node_fix_sets(problem, rng):
+        # new bounds under the held costs, then new costs under those bounds
+        for step in ("bounds", "costs"):
+            if step == "costs" and model.loaded:
+                c = next(costs)
+                model.change_costs(c)
+            form = replace(_node_form(problem, fixes), c=c)
+            warm = solve_lp(form, opts, model)
+            cold = solve_lp(form, opts)
+            assert warm.status == cold.status, (label, step)
+            if cold.status == OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= \
+                    1e-9 * max(1.0, abs(cold.objective)), (label, step)
+                assert problem.max_residual(warm.values) <= 1e-6
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
+    assert warm_iterations < cold_iterations
+
+
+def test_change_costs_rejects_bad_vectors():
+    model = HighsLp(SolveOptions())
+    with pytest.raises(ValueError):        # nothing loaded yet
+        model.change_costs(DEGENERATE_LP.c)
+    solve_lp(DEGENERATE_LP, model=model)
+    for bad in (_with_nan(DEGENERATE_LP.c), np.zeros(3),
+                DEGENERATE_LP.c[None, :], np.full(2, np.inf)):
+        with pytest.raises(ValueError):
+            model.change_costs(bad)
+    # a rejected change leaves the held LP as it was
+    assert solve_lp(DEGENERATE_LP, model=model).objective == -1.0
+    c = np.array([1.0, 0.0])
+    model.change_costs(c)
+    assert solve_lp(replace(DEGENERATE_LP, c=c), model=model).objective == 0.0
+    with pytest.raises(ValueError):        # the old costs are gone
+        solve_lp(DEGENERATE_LP, model=model)
+
+
+def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
+    problem, best = bundled_problem, bundled_solution
+    gap = SolveOptions().relative_gap * max(1.0, abs(best.objective))
+    int_cols = np.flatnonzero(problem.integrality)
+    # every storage charging and every EV station off: feasible, not optimal
+    worse = solve_lp(_node_form(problem, {int(j): 0.0 for j in int_cols}))
+    assert worse.status == OPTIMAL and worse.objective > best.objective + 1.0
+    for start in (best.values, worse.values):
+        seeded = solve_milp(problem, start=start)
+        assert seeded.status == OPTIMAL
+        assert abs(seeded.objective - best.objective) <= gap
+        assert seeded.objective <= problem.objective @ start + gap
+
+    reg = problem.registry
+    balance = reg[("P_sub", 1)]                 # in the hour-1 balance row
+    voltage = reg[("V", 1, 1)]
+    shifts = {"fractional": (int(int_cols[0]), 0.5),
+              "above a bound": (voltage, problem.upper[voltage] + 1e-3),
+              "off a row": (balance, best.values[balance] + 1e-3)}
+    for label, (j, value) in shifts.items():
+        bad = best.values.copy()
+        bad[j] = value
+        with pytest.raises(ValueError, match="start"):
+            solve_milp(problem, start=bad)
+    with pytest.raises(ValueError, match="start"):
+        solve_milp(problem, start=best.values[:-1])
 
 
 def test_highs_bindings_guard(monkeypatch):
