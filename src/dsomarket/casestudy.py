@@ -31,6 +31,7 @@ from .model import (
     Scenario,
     WholesalePrices,
 )
+from .scenario_io import MILEAGE_FRACTION
 
 # t: (wholesale E, wholesale C, esag E, esag C, ddgag E, ddgag C,
 #     evcs E, evcs C, drag E, drag C, mu_up, mu_dn)
@@ -60,8 +61,6 @@ HOURLY_TABLE: tuple[tuple[float, ...], ...] = (
     (27.5, 25.6, 28, 25, 28, 27, 29, 30.5, 29, 30, 0.42, 0.45),
     (25.3, 22.4, 28, 25, 28, 27, 29, 30.5, 29, 30, 0.42, 0.45),
 )
-
-MILEAGE_FRACTION = 1.0 / 20.0   # mileage price = capacity price / 20
 
 ASSUMPTIONS: tuple[str, ...] = (
     "single 10 MW demand block priced at the DRAG energy offer",

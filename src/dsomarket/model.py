@@ -10,7 +10,7 @@ dataclass so scenarios can be shared freely across concurrent solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 Series = tuple[float, ...]
@@ -204,24 +204,6 @@ class Network:
                     stack.append(neighbor)
         return seen == ids
 
-    def is_acyclic(self) -> bool:
-        parent: dict[int, int] = {n: n for n in self.bus_ids()}
-
-        def find(n: int) -> int:
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
-            return n
-
-        for br in self.branches:
-            if br.from_bus not in parent or br.to_bus not in parent:
-                continue
-            a, b = find(br.from_bus), find(br.to_bus)
-            if a == b:
-                return False
-            parent[a] = b
-        return True
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -388,6 +370,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             check_series(f"offers[{cfg.name}].cap_dn", o.cap_dn, nonneg=True)
             check_series(f"offers[{cfg.name}].mil_up", o.mil_up, nonneg=True)
             check_series(f"offers[{cfg.name}].mil_dn", o.mil_dn, nonneg=True)
+    known = set(names)
+    for name in s.offers:
+        if name not in known:
+            bad("OFFER_UNKNOWN_AGGREGATOR",
+                f"offer prices for unknown aggregator {name}")
 
     for cfg in s.drags:
         if not cfg.blocks:
@@ -449,6 +436,17 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                 f"{cfg.name} needs 0 <= p_min <= p_max")
         if cfg.ru < 0 or cfg.rd < 0:
             bad("DDGAG_RAMP_NEGATIVE", f"{cfg.name} ramp rates must be >= 0")
+
+    scalars = [("horizon", s.horizon), ("network", net)]
+    scalars += [(f"branch[{br.id}]", br) for br in net.branches]
+    scalars += [(f"{cfg.name}.blocks[{a}]", block) for cfg in s.drags
+                for a, block in enumerate(cfg.blocks)]
+    scalars += [(cfg.name, cfg) for _, cfg in s.aggregators()]
+    for label, obj in scalars:
+        for f in fields(obj):
+            x = getattr(obj, f.name)
+            if isinstance(x, float) and not math.isfinite(x):
+                bad("VALUE_NOT_FINITE", f"{label}.{f.name} is {x}")
 
     return ValidationReport(tuple(out))
 

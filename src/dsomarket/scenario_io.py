@@ -2,10 +2,14 @@
 
 The scenario file format is a versioned JSON document with sections
 ``horizon``, ``wholesale``, ``regulation_signal``, ``network``,
-``aggregators``, ``offers``, and a free-text ``assumptions`` block.
+``aggregators``, ``offers``, and a free-text ``assumptions`` block.  Each
+section is read and written by walking the fields of its dataclass in
+:mod:`dsomarket.model`, checking every value against the field's type hint.
 Unknown fields are rejected.  Missing mileage prices default to the
 corresponding capacity price divided by 20, missing mileage ratios to 1.0,
-and missing bus loads to zero; every applied default is reported.
+and missing bus loads to zero; every applied default is reported.  Fields
+with a dataclass default (``step_hours``, ``v_substation``) may be omitted
+silently.
 """
 
 from __future__ import annotations
@@ -13,19 +17,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, fields
+from functools import cache, partial
+from typing import Any, get_args, get_type_hints
 
 from .model import (
+    KIND_DDGAG,
+    KIND_DRAG,
+    KIND_ESAG,
+    KIND_EVCS,
     Branch,
     Bus,
-    DdgagConfig,
-    DemandBlock,
-    DragConfig,
-    EsagConfig,
-    EvcsConfig,
     Horizon,
-    Network,
     OfferPrices,
     RegulationSignal,
     Scenario,
@@ -35,7 +38,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
-MILEAGE_FRACTION = 1.0 / 20.0
+MILEAGE_FRACTION = 1.0 / 20.0   # mileage price = capacity price / 20
 
 
 class ParseError(ValueError):
@@ -56,6 +59,43 @@ class SchemaError(ValueError):
 
 ValidationError = ScenarioValidationError
 
+# JSON keys that differ from the dataclass field names.
+_KEYS = {(Branch, "from_bus"): "from", (Branch, "to_bus"): "to"}
+
+# Scenario field -> document key of the sections after ``horizon``.
+_SECTIONS = (("wholesale", "wholesale"), ("regulation", "regulation_signal"),
+             ("network", "network"))
+
+_DOC_REQUIRED = frozenset({"version", "horizon", "aggregators", "offers",
+                           *(key for _, key in _SECTIONS)})
+
+# The ``type`` of an ``aggregators`` entry -> the Scenario field holding it.
+_FLEETS = {KIND_DRAG: "drags", KIND_ESAG: "esags", KIND_EVCS: "evcss",
+           KIND_DDGAG: "ddgags"}
+
+
+def _mileage(cap: str):
+    return (f"{cap} / 20",
+            lambda got, T: tuple(c * MILEAGE_FRACTION for c in got[cap]))
+
+
+def _constant(note: str, value: float):
+    return note, lambda got, T: (value,) * T
+
+
+# Fields that may be omitted with a reported default:
+# (class, field) -> (note, default from the fields parsed before it and T).
+_REPORTED = {
+    (WholesalePrices, "mil_up"): _mileage("cap_up"),
+    (WholesalePrices, "mil_dn"): _mileage("cap_dn"),
+    (OfferPrices, "mil_up"): _mileage("cap_up"),
+    (OfferPrices, "mil_dn"): _mileage("cap_dn"),
+    (RegulationSignal, "s_up"): _constant("1.0", 1.0),
+    (RegulationSignal, "s_dn"): _constant("1.0", 1.0),
+    (Bus, "p_load"): _constant("zero", 0.0),
+    (Bus, "q_load"): _constant("zero", 0.0),
+}
+
 
 def _require_mapping(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
@@ -74,304 +114,162 @@ def _check_keys(d: dict, where: str, required: set[str],
         raise SchemaError(f"{where} is missing fields: {sorted(missing)}")
 
 
-def _series(d: dict, key: str, where: str) -> tuple[float, ...]:
-    xs = d[key]
-    if not isinstance(xs, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in xs):
-        raise SchemaError(f"{where}.{key} must be a list of numbers")
-    return tuple(float(x) for x in xs)
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _number(d: dict, key: str, where: str) -> float:
-    x = d[key]
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise SchemaError(f"{where}.{key} must be a number")
+def _is_integer(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# Field checkers: (value, where, applied, T) -> parsed value.
+
+def _number(x: Any, where: str, *_) -> float:
+    if not _is_number(x):
+        raise SchemaError(f"{where} must be a number")
     return float(x)
 
 
-def _integer(d: dict, key: str, where: str) -> int:
-    x = d[key]
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise SchemaError(f"{where}.{key} must be an integer")
+def _integer(x: Any, where: str, *_) -> int:
+    if not _is_integer(x):
+        raise SchemaError(f"{where} must be an integer")
     return x
 
 
-def _string(d: dict, key: str, where: str) -> str:
-    x = d[key]
+def _string(x: Any, where: str, *_) -> str:
     if not isinstance(x, str):
-        raise SchemaError(f"{where}.{key} must be a string")
+        raise SchemaError(f"{where} must be a string")
     return x
 
 
-def _mileage_defaults(d: dict, where: str, T: int,
-                      applied: list[str]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    cap_up = _series(d, "cap_up", where)
-    cap_dn = _series(d, "cap_dn", where)
-    if "mil_up" in d:
-        mil_up = _series(d, "mil_up", where)
-    else:
-        mil_up = tuple(c * MILEAGE_FRACTION for c in cap_up)
-        applied.append(f"{where}.mil_up defaulted to cap_up / 20")
-    if "mil_dn" in d:
-        mil_dn = _series(d, "mil_dn", where)
-    else:
-        mil_dn = tuple(c * MILEAGE_FRACTION for c in cap_dn)
-        applied.append(f"{where}.mil_dn defaulted to cap_dn / 20")
-    return mil_up, mil_dn
+def _numbers(xs: Any, where: str, *_) -> tuple[float, ...]:
+    if not isinstance(xs, list) or not all(_is_number(x) for x in xs):
+        raise SchemaError(f"{where} must be a list of numbers")
+    return tuple(float(x) for x in xs)
+
+
+def _integers(xs: Any, where: str, *_) -> tuple[int, ...]:
+    if not isinstance(xs, list) or not all(_is_integer(x) for x in xs):
+        raise SchemaError(f"{where} must be a list of integers")
+    return tuple(xs)
+
+
+def _objects(cls: type, xs: Any, where: str, applied: list[str],
+             T: int) -> tuple:
+    if not isinstance(xs, list):
+        raise SchemaError(f"{where} must be a list")
+    return tuple(_parse(cls, x, f"{where}[{i}]", applied, T)
+                 for i, x in enumerate(xs))
+
+
+def _dump_objects(xs: tuple) -> list[dict]:
+    return [_dump(x) for x in xs]
+
+
+_hints = cache(get_type_hints)
+_SCALARS = {float: _number, int: _integer, str: _string}
+_SERIES = {float: _numbers, int: _integers}
+
+
+@cache
+def _plan(cls: type) -> tuple[tuple, frozenset, frozenset]:
+    """Per-field (name, JSON key, checker, dumper) of a dataclass, with its
+    required and optional JSON keys.  A dumper of None copies the value."""
+    hints = _hints(cls)
+    entries, required, optional = [], set(), set()
+    for f in fields(cls):
+        hint = hints[f.name]
+        if hint in _SCALARS:
+            check, dump = _SCALARS[hint], None
+        elif get_args(hint)[0] in _SERIES:          # tuple[float|int, ...]
+            check, dump = _SERIES[get_args(hint)[0]], list
+        else:                                       # tuple[<dataclass>, ...]
+            check, dump = partial(_objects, get_args(hint)[0]), _dump_objects
+        key = _KEYS.get((cls, f.name), f.name)
+        entries.append((f.name, key, check, dump))
+        if f.default is MISSING and (cls, f.name) not in _REPORTED:
+            required.add(key)
+        else:
+            optional.add(key)
+    return tuple(entries), frozenset(required), frozenset(optional)
+
+
+def _parse(cls: type, value: Any, where: str, applied: list[str], T: int):
+    """Build ``cls`` from a JSON object; defaults are noted in ``applied``.
+
+    ``T`` is the horizon length, the length of every defaulted series.
+    """
+    entries, required, optional = _plan(cls)
+    _check_keys(_require_mapping(value, where), where, required, optional)
+    got = {}
+    for name, key, check, _ in entries:
+        if key in value:
+            got[name] = check(value[key], f"{where}.{key}", applied, T)
+        elif (cls, name) in _REPORTED:
+            note, default = _REPORTED[cls, name]
+            got[name] = default(got, T)
+            applied.append(f"{where}.{key} defaulted to {note}")
+    return cls(**got)
+
+
+def _dump(obj: Any) -> dict:
+    out = {}
+    for name, key, _, dump in _plan(type(obj))[0]:
+        value = getattr(obj, name)
+        out[key] = value if dump is None else dump(value)
+    return out
 
 
 def scenario_from_dict(doc: dict) -> tuple[Scenario, tuple[str, ...]]:
     """Build a Scenario from a parsed document; returns applied defaults."""
     applied: list[str] = []
-    _require_mapping(doc, "document")
-    _check_keys(doc, "document",
-                {"version", "horizon", "wholesale", "regulation_signal",
-                 "network", "aggregators", "offers"},
+    _check_keys(_require_mapping(doc, "document"), "document", _DOC_REQUIRED,
                 {"assumptions"})
     if doc["version"] != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported schema version {doc['version']!r}, "
             f"expected {SCHEMA_VERSION}")
 
-    h = _require_mapping(doc["horizon"], "horizon")
-    _check_keys(h, "horizon", {"steps"}, {"step_hours"})
-    steps_raw = h["steps"]
-    if not isinstance(steps_raw, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in steps_raw):
-        raise SchemaError("horizon.steps must be a list of integers")
-    horizon = Horizon(steps=tuple(steps_raw),
-                      step_hours=float(h.get("step_hours", 1.0)))
+    horizon = _parse(Horizon, doc["horizon"], "horizon", applied, 0)
     T = len(horizon)
+    hints = _hints(Scenario)
+    parts = {name: _parse(hints[name], doc[key], key, applied, T)
+             for name, key in _SECTIONS}
 
-    w = _require_mapping(doc["wholesale"], "wholesale")
-    _check_keys(w, "wholesale", {"energy", "cap_up", "cap_dn"},
-                {"mil_up", "mil_dn"})
-    mil_up, mil_dn = _mileage_defaults(w, "wholesale", T, applied)
-    wholesale = WholesalePrices(
-        energy=_series(w, "energy", "wholesale"),
-        cap_up=_series(w, "cap_up", "wholesale"),
-        cap_dn=_series(w, "cap_dn", "wholesale"),
-        mil_up=mil_up, mil_dn=mil_dn)
-
-    r = _require_mapping(doc["regulation_signal"], "regulation_signal")
-    _check_keys(r, "regulation_signal", {"mu_up", "mu_dn"}, {"s_up", "s_dn"})
-    ones = (1.0,) * T
-    if "s_up" not in r:
-        applied.append("regulation_signal.s_up defaulted to 1.0")
-    if "s_dn" not in r:
-        applied.append("regulation_signal.s_dn defaulted to 1.0")
-    regulation = RegulationSignal(
-        mu_up=_series(r, "mu_up", "regulation_signal"),
-        mu_dn=_series(r, "mu_dn", "regulation_signal"),
-        s_up=_series(r, "s_up", "regulation_signal") if "s_up" in r else ones,
-        s_dn=_series(r, "s_dn", "regulation_signal") if "s_dn" in r else ones)
-
-    net = _require_mapping(doc["network"], "network")
-    _check_keys(net, "network",
-                {"buses", "branches", "substation_bus", "v_min", "v_max",
-                 "s_base"},
-                {"v_substation"})
-    zeros = (0.0,) * T
-    buses = []
-    if not isinstance(net["buses"], list):
-        raise SchemaError("network.buses must be a list")
-    for i, b in enumerate(net["buses"]):
-        b = _require_mapping(b, f"network.buses[{i}]")
-        _check_keys(b, f"network.buses[{i}]", {"id"}, {"p_load", "q_load"})
-        if "p_load" not in b:
-            applied.append(f"network.buses[{i}].p_load defaulted to zero")
-        if "q_load" not in b:
-            applied.append(f"network.buses[{i}].q_load defaulted to zero")
-        buses.append(Bus(
-            id=_integer(b, "id", f"network.buses[{i}]"),
-            p_load=_series(b, "p_load", f"network.buses[{i}]")
-            if "p_load" in b else zeros,
-            q_load=_series(b, "q_load", f"network.buses[{i}]")
-            if "q_load" in b else zeros))
-    branches = []
-    if not isinstance(net["branches"], list):
-        raise SchemaError("network.branches must be a list")
-    for i, br in enumerate(net["branches"]):
-        br = _require_mapping(br, f"network.branches[{i}]")
-        where = f"network.branches[{i}]"
-        _check_keys(br, where,
-                    {"id", "from", "to", "r", "x", "pl_max", "ql_max"})
-        branches.append(Branch(
-            id=_integer(br, "id", where),
-            from_bus=_integer(br, "from", where),
-            to_bus=_integer(br, "to", where),
-            r=_number(br, "r", where), x=_number(br, "x", where),
-            pl_max=_number(br, "pl_max", where),
-            ql_max=_number(br, "ql_max", where)))
-    network = Network(
-        buses=tuple(buses), branches=tuple(branches),
-        substation_bus=_integer(net, "substation_bus", "network"),
-        v_min=_number(net, "v_min", "network"),
-        v_max=_number(net, "v_max", "network"),
-        s_base=_number(net, "s_base", "network"),
-        v_substation=float(net.get("v_substation", 1.0)))
-
-    drags, esags, evcss, ddgags = [], [], [], []
+    fleets = {name: [] for name in _FLEETS.values()}
     if not isinstance(doc["aggregators"], list):
         raise SchemaError("aggregators must be a list")
     for i, agg in enumerate(doc["aggregators"]):
-        agg = _require_mapping(agg, f"aggregators[{i}]")
         where = f"aggregators[{i}]"
-        kind = _string(agg, "type", where) if "type" in agg else None
-        if kind == "drag":
-            _check_keys(agg, where, {"type", "name", "node", "blocks",
-                                     "cap_up_max", "cap_dn_max", "tan_phi"})
-            blocks = []
-            for a, blk in enumerate(agg["blocks"]):
-                blk = _require_mapping(blk, f"{where}.blocks[{a}]")
-                _check_keys(blk, f"{where}.blocks[{a}]", {"p_max", "prices"})
-                blocks.append(DemandBlock(
-                    p_max=_number(blk, "p_max", f"{where}.blocks[{a}]"),
-                    prices=_series(blk, "prices", f"{where}.blocks[{a}]")))
-            drags.append(DragConfig(
-                name=_string(agg, "name", where),
-                node=_integer(agg, "node", where),
-                blocks=tuple(blocks),
-                cap_up_max=_series(agg, "cap_up_max", where),
-                cap_dn_max=_series(agg, "cap_dn_max", where),
-                tan_phi=_number(agg, "tan_phi", where)))
-        elif kind == "esag":
-            _check_keys(agg, where, {"type", "name", "node", "eta_ch",
-                                     "eta_di", "e_min", "e_max", "e_init",
-                                     "dr_max", "cr_max"})
-            esags.append(EsagConfig(
-                name=_string(agg, "name", where),
-                node=_integer(agg, "node", where),
-                eta_ch=_number(agg, "eta_ch", where),
-                eta_di=_number(agg, "eta_di", where),
-                e_min=_number(agg, "e_min", where),
-                e_max=_number(agg, "e_max", where),
-                e_init=_number(agg, "e_init", where),
-                dr_max=_number(agg, "dr_max", where),
-                cr_max=_number(agg, "cr_max", where)))
-        elif kind == "evcs":
-            _check_keys(agg, where, {"type", "name", "node", "availability",
-                                     "er_max", "err_max", "cl_max", "e_init",
-                                     "gamma_ch"})
-            avail = agg["availability"]
-            if not isinstance(avail, list) or not all(
-                    isinstance(t, int) and not isinstance(t, bool)
-                    for t in avail):
-                raise SchemaError(f"{where}.availability must be a list of "
-                                  "integers")
-            evcss.append(EvcsConfig(
-                name=_string(agg, "name", where),
-                node=_integer(agg, "node", where),
-                availability=tuple(avail),
-                er_max=_number(agg, "er_max", where),
-                err_max=_number(agg, "err_max", where),
-                cl_max=_number(agg, "cl_max", where),
-                e_init=_number(agg, "e_init", where),
-                gamma_ch=_number(agg, "gamma_ch", where)))
-        elif kind == "ddgag":
-            _check_keys(agg, where, {"type", "name", "node", "p_min", "p_max",
-                                     "ru", "rd", "tan_phi"})
-            ddgags.append(DdgagConfig(
-                name=_string(agg, "name", where),
-                node=_integer(agg, "node", where),
-                p_min=_number(agg, "p_min", where),
-                p_max=_number(agg, "p_max", where),
-                ru=_number(agg, "ru", where),
-                rd=_number(agg, "rd", where),
-                tan_phi=_number(agg, "tan_phi", where)))
-        else:
+        agg = _require_mapping(agg, where)
+        kind = _string(agg["type"], f"{where}.type") if "type" in agg else None
+        if kind not in _FLEETS:
             raise SchemaError(f"{where}.type must be one of "
                               "drag/esag/evcs/ddgag")
+        fleet = _FLEETS[kind]
+        config = {k: v for k, v in agg.items() if k != "type"}
+        fleets[fleet].append(
+            _parse(get_args(hints[fleet])[0], config, where, applied, T))
 
-    offers = {}
-    offers_doc = _require_mapping(doc["offers"], "offers")
-    for name, o in offers_doc.items():
-        o = _require_mapping(o, f"offers[{name}]")
-        where = f"offers[{name}]"
-        _check_keys(o, where, {"energy", "cap_up", "cap_dn"},
-                    {"mil_up", "mil_dn"})
-        mil_up, mil_dn = _mileage_defaults(o, where, T, applied)
-        offers[name] = OfferPrices(
-            energy=_series(o, "energy", where),
-            cap_up=_series(o, "cap_up", where),
-            cap_dn=_series(o, "cap_dn", where),
-            mil_up=mil_up, mil_dn=mil_dn)
+    offers = {name: _parse(OfferPrices, o, f"offers[{name}]", applied, T)
+              for name, o in _require_mapping(doc["offers"], "offers").items()}
 
     if "assumptions" in doc and not isinstance(doc["assumptions"], list):
         raise SchemaError("assumptions must be a list of strings")
 
-    scenario = Scenario(
-        horizon=horizon, wholesale=wholesale, regulation=regulation,
-        network=network, drags=tuple(drags), esags=tuple(esags),
-        evcss=tuple(evcss), ddgags=tuple(ddgags), offers=offers)
+    scenario = Scenario(horizon=horizon, **parts,
+                        **{k: tuple(v) for k, v in fleets.items()},
+                        offers=offers)
     return scenario, tuple(applied)
 
 
 def scenario_to_dict(s: Scenario, assumptions: tuple[str, ...] = ()) -> dict:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "horizon": {"steps": list(s.horizon.steps),
-                    "step_hours": s.horizon.step_hours},
-        "wholesale": {
-            "energy": list(s.wholesale.energy),
-            "cap_up": list(s.wholesale.cap_up),
-            "cap_dn": list(s.wholesale.cap_dn),
-            "mil_up": list(s.wholesale.mil_up),
-            "mil_dn": list(s.wholesale.mil_dn),
-        },
-        "regulation_signal": {
-            "mu_up": list(s.regulation.mu_up),
-            "mu_dn": list(s.regulation.mu_dn),
-            "s_up": list(s.regulation.s_up),
-            "s_dn": list(s.regulation.s_dn),
-        },
-        "network": {
-            "buses": [{"id": b.id, "p_load": list(b.p_load),
-                       "q_load": list(b.q_load)} for b in s.network.buses],
-            "branches": [{"id": br.id, "from": br.from_bus, "to": br.to_bus,
-                          "r": br.r, "x": br.x, "pl_max": br.pl_max,
-                          "ql_max": br.ql_max} for br in s.network.branches],
-            "substation_bus": s.network.substation_bus,
-            "v_min": s.network.v_min,
-            "v_max": s.network.v_max,
-            "s_base": s.network.s_base,
-            "v_substation": s.network.v_substation,
-        },
-        "aggregators": [],
-        "offers": {
-            name: {
-                "energy": list(o.energy), "cap_up": list(o.cap_up),
-                "cap_dn": list(o.cap_dn), "mil_up": list(o.mil_up),
-                "mil_dn": list(o.mil_dn),
-            } for name, o in sorted(s.offers.items())
-        },
-    }
-    for cfg in s.drags:
-        doc["aggregators"].append({
-            "type": "drag", "name": cfg.name, "node": cfg.node,
-            "blocks": [{"p_max": b.p_max, "prices": list(b.prices)}
-                       for b in cfg.blocks],
-            "cap_up_max": list(cfg.cap_up_max),
-            "cap_dn_max": list(cfg.cap_dn_max),
-            "tan_phi": cfg.tan_phi})
-    for cfg in s.esags:
-        doc["aggregators"].append({
-            "type": "esag", "name": cfg.name, "node": cfg.node,
-            "eta_ch": cfg.eta_ch, "eta_di": cfg.eta_di, "e_min": cfg.e_min,
-            "e_max": cfg.e_max, "e_init": cfg.e_init, "dr_max": cfg.dr_max,
-            "cr_max": cfg.cr_max})
-    for cfg in s.evcss:
-        doc["aggregators"].append({
-            "type": "evcs", "name": cfg.name, "node": cfg.node,
-            "availability": list(cfg.availability), "er_max": cfg.er_max,
-            "err_max": cfg.err_max, "cl_max": cfg.cl_max,
-            "e_init": cfg.e_init, "gamma_ch": cfg.gamma_ch})
-    for cfg in s.ddgags:
-        doc["aggregators"].append({
-            "type": "ddgag", "name": cfg.name, "node": cfg.node,
-            "p_min": cfg.p_min, "p_max": cfg.p_max, "ru": cfg.ru,
-            "rd": cfg.rd, "tan_phi": cfg.tan_phi})
+    doc = {"version": SCHEMA_VERSION, "horizon": _dump(s.horizon)}
+    for name, key in _SECTIONS:
+        doc[key] = _dump(getattr(s, name))
+    doc["aggregators"] = [{"type": kind, **_dump(cfg)}
+                          for kind, cfg in s.aggregators()]
+    doc["offers"] = {name: _dump(o) for name, o in sorted(s.offers.items())}
     if assumptions:
         doc["assumptions"] = list(assumptions)
     return doc

@@ -108,3 +108,18 @@ def make_scenario(T=2, kinds=("ddgag",), *, wholesale_energy=30.0,
                         s_base=s_base),
         drags=tuple(drags), esags=tuple(esags), evcss=tuple(evcss),
         ddgags=tuple(ddgags), offers=offers)
+
+
+DELETE = object()
+
+
+def edit(doc, path, value):
+    """Set the value at a key path of a scenario document in place, or
+    remove it when ``value`` is ``DELETE``."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = value

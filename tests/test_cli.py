@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import make_scenario
+from conftest import edit, make_scenario
 from dsomarket import cli, solver
-from dsomarket.scenario_io import save_scenario
+from dsomarket.casestudy import bundled_case_study
+from dsomarket.scenario_io import save_scenario, scenario_to_dict
 
 
 @pytest.fixture()
@@ -41,6 +42,39 @@ def test_validate_malformed_json_exits_3(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["validate", str(path)]) == 3
     assert "line" in capsys.readouterr().err
+
+
+def _edited_bundled(tmp_path, path, value):
+    """The bundled scenario file with the value at ``path`` replaced."""
+    doc = scenario_to_dict(bundled_case_study())
+    edit(doc, path, value)
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("horizon", "step_hours"), "a"),
+    (("aggregators", 0, "blocks"), 5),
+], ids=["step_hours string", "drag blocks number"])
+def test_validate_wrong_type_exits_3(tmp_path, capsys, path, value):
+    assert cli.main(["validate", _edited_bundled(tmp_path, path, value)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+
+
+@pytest.mark.parametrize("path", [
+    ("network", "branches", 0, "r"),
+    ("aggregators", 0, "tan_phi"),
+    ("horizon", "step_hours"),
+    ("network", "s_base"),
+], ids=["branch r", "drag tan_phi", "step_hours", "s_base"])
+def test_validate_non_finite_scalar_exits_1(tmp_path, capsys, path):
+    edited = _edited_bundled(tmp_path, path, float("nan"))
+    assert cli.main(["validate", edited]) == 1
+    err = capsys.readouterr().err
+    assert "VALUE_NOT_FINITE" in err
+    assert "Traceback" not in err
 
 
 def test_validate_invalid_scenario_exits_1(tmp_path, capsys):

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import DELETE, edit, make_scenario
+from dsomarket.casestudy import ASSUMPTIONS
 from dsomarket.formulation import build, decode
+from dsomarket.model import Scenario
 from dsomarket.scenario_io import (
     ParseError,
     ResultBundle,
@@ -84,6 +86,67 @@ def test_wrong_type_rejected(bundled):
     doc["wholesale"]["energy"] = "cheap"
     with pytest.raises(SchemaError, match="list of numbers"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("horizon", "step_hours"), True, "horizon.step_hours must be a number"),
+    (("horizon", "step_hours"), "1", "horizon.step_hours must be a number"),
+    (("network", "v_substation"), True,
+     "network.v_substation must be a number"),
+    (("aggregators", 0, "blocks"), {},
+     "aggregators[0].blocks must be a list"),
+    (("aggregators", 0, "blocks"), 5, "aggregators[0].blocks must be a list"),
+], ids=["step_hours bool", "step_hours string", "v_substation bool",
+        "blocks object", "blocks number"])
+def test_malformed_value_rejected(bundled, path, value, message):
+    doc = scenario_to_dict(bundled)
+    edit(doc, path, value)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+
+
+def _key_paths(node, path=()):
+    """Every key path of a document; only the first two items of a list."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:2])
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+MUTANTS = ("a", 5, None, [], {}, True, [1, "x"], DELETE)
+
+
+def test_single_field_mutations_raise_only_schema_errors(bundled):
+    """Every one-field corruption of the bundled document either parses or
+    raises SchemaError: never another exception."""
+    text = json.dumps(scenario_to_dict(bundled, ASSUMPTIONS))
+    cases, failures = 0, []
+    for path in _key_paths(json.loads(text)):
+        for value in MUTANTS:
+            doc = json.loads(text)
+            edit(doc, path, value)
+            cases += 1
+            try:
+                scenario, _ = scenario_from_dict(doc)
+            except SchemaError:
+                continue
+            except Exception as exc:      # the fault this test looks for
+                failures.append(f"{path} = {value!r}: {exc!r}")
+                continue
+            assert isinstance(scenario, Scenario)
+    assert cases > 1000
+    assert not failures, "\n".join(failures)
+
+
+def test_bundled_hash_is_pinned(bundled):
+    assert scenario_hash(bundled) == (
+        "29bd8148b4fac62dbe842d8b6885923cd80886b25d1ba314483503581eb6c0d0")
 
 
 def test_unknown_aggregator_type_rejected(bundled):

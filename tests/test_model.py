@@ -112,6 +112,12 @@ def test_missing_offer_reported():
     assert "OFFER_MISSING" in validate_scenario(s).codes()
 
 
+def test_offer_for_unknown_aggregator_reported():
+    s = make_scenario()
+    s = replace(s, offers={**s.offers, "ghost": s.offers["ddgag-x"]})
+    assert validate_scenario(s).codes() == ("OFFER_UNKNOWN_AGGREGATOR",)
+
+
 def test_drag_block_prices_must_be_non_increasing():
     s = make_scenario(T=1, kinds=("drag",))
     cfg = s.drags[0]
