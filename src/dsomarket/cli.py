@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -142,7 +143,6 @@ def _cmd_sweep(args) -> int:
         print(f"case {case.index}: {case.status}"
               + (f" ({case.error})" if case.error else ""), file=sys.stderr)
     try:
-        import os
         os.makedirs(args.out, exist_ok=True)
         analysis.export_sweep(result, os.path.join(args.out, "sweep.csv"))
     except OSError as exc:

@@ -4,8 +4,11 @@ Variable registry, objective, and all constraint families for the DSO
 coordination problem: demand response blocks, storage charge dynamics with
 mode binaries, EV charging windows with an enable binary, dispatchable
 generation limits, linearized radial power flow, and the substation-level
-aggregation identities.  Also decodes raw solver vectors back into a
-:class:`Schedule` and checks constraint residuals.
+aggregation identities.  The compiled :class:`MilpProblem` holds the
+constraints as one sparse matrix ``A`` (CSR, rows in build order) with a
+``sense``, ``rhs`` and name per row; the LP relaxation, the residual checks
+and the MPS export all read that matrix.  Also decodes raw solver vectors
+back into a :class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -37,25 +40,6 @@ class DimensionMismatch(ValueError):
 
 class NonOptimalStatus(RuntimeError):
     """Decoding was attempted on a non-optimal solver result."""
-
-
-@dataclass(frozen=True)
-class Row:
-    """One sparse constraint row: coefs @ x  (sense)  rhs."""
-
-    name: str
-    cols: tuple[int, ...]
-    coefs: tuple[float, ...]
-    sense: str
-    rhs: float
-
-    def residual(self, x: np.ndarray) -> float:
-        lhs = sum(c * x[j] for j, c in zip(self.cols, self.coefs))
-        if self.sense == EQ:
-            return abs(lhs - self.rhs)
-        if self.sense == LE:
-            return max(0.0, lhs - self.rhs)
-        return max(0.0, self.rhs - lhs)
 
 
 class VariableRegistry:
@@ -90,12 +74,37 @@ class VariableRegistry:
         return self._keys[idx]
 
 
+class Constraints:
+    """Constraint rows in build order, collected as COO entries."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
+        self.row: list[int] = []
+        self.col: list[int] = []
+        self.coef: list[float] = []
+
+    def add(self, name: str, cols, coefs, sense: str, rhs: float) -> None:
+        """Append the row ``coefs @ x[cols]  (sense)  rhs``."""
+        self.row.extend([len(self.names)] * len(cols))
+        self.col.extend(cols)
+        self.coef.extend(coefs)
+        self.names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+
+
 @dataclass(frozen=True)
 class MilpProblem:
-    """Sparse constraint system with objective, bounds, and integrality."""
+    """Sparse constraint system with objective, bounds, and integrality:
+    row i reads ``A[i] @ x  (sense[i])  rhs[i]``."""
 
     objective: np.ndarray
-    rows: tuple[Row, ...]
+    A: sparse.csr_matrix
+    sense: np.ndarray                # LE, GE or EQ per row
+    rhs: np.ndarray
+    row_names: tuple[str, ...]
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray          # bool per column
@@ -107,53 +116,35 @@ class MilpProblem:
 
     @cached_property
     def relaxation_arrays(self):
-        """(A_ub, b_ub, A_eq, b_eq) as CSR matrices for the LP relaxation."""
-        n = self.num_cols
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for row in self.rows:
-            if row.sense == EQ:
-                eq_rows.append(row)
-                eq_rhs.append(row.rhs)
-            elif row.sense == LE:
-                ub_rows.append((row, 1.0))
-                ub_rhs.append(row.rhs)
-            else:
-                ub_rows.append((row, -1.0))
-                ub_rhs.append(-row.rhs)
+        """(A_ub, b_ub, A_eq, b_eq) as CSR matrices for the LP relaxation,
+        with each >= row negated into a <= row; an empty block is None."""
+        sign = np.where(self.sense == GE, -1.0, 1.0)
+        eq = self.sense == EQ
 
-        def build(rows_signed):
-            data, ri, ci = [], [], []
-            for i, item in enumerate(rows_signed):
-                row, sign = item if isinstance(item, tuple) else (item, 1.0)
-                for j, c in zip(row.cols, row.coefs):
-                    data.append(sign * c)
-                    ri.append(i)
-                    ci.append(j)
-            return sparse.csr_matrix((data, (ri, ci)),
-                                     shape=(len(rows_signed), n))
+        def block(mask):
+            if not mask.any():
+                return None
+            rows = self.A[mask]
+            rows.data *= np.repeat(sign[mask], np.diff(rows.indptr))
+            return rows
 
-        A_ub = build(ub_rows) if ub_rows else None
-        A_eq = build(eq_rows) if eq_rows else None
-        return (A_ub, np.array(ub_rhs), A_eq, np.array(eq_rhs))
+        return (block(~eq), (sign * self.rhs)[~eq], block(eq), self.rhs[eq])
 
-    def max_residual(self, x: np.ndarray) -> float:
-        """Largest constraint violation of x over every row and bound."""
+    def row_residuals(self, x: np.ndarray) -> np.ndarray:
+        """Violation of each row by x (zero where it holds), aligned with
+        ``row_names``."""
         if len(x) != self.num_cols:
             raise DimensionMismatch(
                 f"solution has {len(x)} entries, problem has {self.num_cols}")
-        worst = 0.0
-        for row in self.rows:
-            worst = max(worst, row.residual(x))
-        worst = max(worst, float(np.max(np.maximum(self.lower - x, 0.0),
-                                        initial=0.0)))
-        worst = max(worst, float(np.max(np.maximum(x - self.upper, 0.0),
-                                        initial=0.0)))
-        return worst
+        excess = self.A @ x - self.rhs
+        excess = np.where(self.sense == GE, -excess, excess)
+        return np.where(self.sense == EQ, np.abs(excess),
+                        np.maximum(excess, 0.0))
 
-    def residual_report(self, x: np.ndarray, tol: float) -> list[tuple[str, float]]:
-        """Rows violating ``tol``, as (row name, residual) pairs."""
-        return [(row.name, r) for row in self.rows
-                if (r := row.residual(x)) > tol]
+    def max_residual(self, x: np.ndarray) -> float:
+        """Largest constraint violation of x over every row and bound."""
+        excess = (self.row_residuals(x), self.lower - x, x - self.upper)
+        return max(float(np.max(e, initial=0.0)) for e in excess)
 
 
 @dataclass(frozen=True)
@@ -177,10 +168,6 @@ class Schedule:
     objective: float
     scenario_hash: str
     values: np.ndarray = field(repr=False)
-
-
-def _offer(s: Scenario, name: str):
-    return s.offers[name]
 
 
 def build_registry(s: Scenario) -> VariableRegistry:
@@ -314,7 +301,7 @@ def build_objective(s: Scenario, reg: VariableRegistry) -> np.ndarray:
         c[reg[("r_sub_dn", t)]] = -(w.cap_dn[ti]
                                     + sig.s_dn[ti] * sig.mu_dn[ti] * w.mil_dn[ti])
         for kind, cfg in s.aggregators():
-            o = _offer(s, cfg.name)
+            o = s.offers[cfg.name]
             if kind == KIND_DRAG:
                 for a, block in enumerate(cfg.blocks):
                     c[reg[("P_block", a, t, cfg.name)]] = -block.prices[ti] * dt
@@ -329,26 +316,25 @@ def build_objective(s: Scenario, reg: VariableRegistry) -> np.ndarray:
     return c
 
 
-def add_drag_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
-    rows: list[Row] = []
+def add_drag_constraints(s: Scenario, reg: VariableRegistry,
+                         rows: Constraints) -> None:
     for cfg in s.drags:
         blocks = range(len(cfg.blocks))
         total = sum(b.p_max for b in cfg.blocks)
         for t in s.horizon.steps:
             block_cols = tuple(reg[("P_block", a, t, cfg.name)] for a in blocks)
-            rows.append(Row(
+            rows.add(
                 f"drag_dn_headroom[{t},{cfg.name}]",
                 block_cols + (reg[("r_dn", t, cfg.name)],),
-                (1.0,) * len(block_cols) + (-1.0,), GE, 0.0))
-            rows.append(Row(
+                (1.0,) * len(block_cols) + (-1.0,), GE, 0.0)
+            rows.add(
                 f"drag_up_headroom[{t},{cfg.name}]",
                 block_cols + (reg[("r_up", t, cfg.name)],),
-                (1.0,) * len(block_cols) + (1.0,), LE, total))
-    return rows
+                (1.0,) * len(block_cols) + (1.0,), LE, total)
 
 
-def add_esag_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
-    rows: list[Row] = []
+def add_esag_constraints(s: Scenario, reg: VariableRegistry,
+                         rows: Constraints) -> None:
     sig = s.regulation
     dt = s.horizon.step_hours
     steps = s.horizon.steps
@@ -367,69 +353,67 @@ def add_esag_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
                 cols.append(reg[("E", steps[ti - 1], k)])
                 coefs.append(-1.0)
                 rhs = 0.0
-            rows.append(Row(f"esag_state[{t},{k}]", tuple(cols),
-                            tuple(coefs), EQ, rhs))
+            rows.add(f"esag_state[{t},{k}]", cols, coefs, EQ, rhs)
             # injection split: P = P_di/eta_di - P_ch*eta_ch
-            rows.append(Row(
+            rows.add(
                 f"esag_split[{t},{k}]",
                 (reg[("P", t, k)], reg[("P_di", t, k)], reg[("P_ch", t, k)]),
-                (1.0, -1.0 / cfg.eta_di, cfg.eta_ch), EQ, 0.0))
+                (1.0, -1.0 / cfg.eta_di, cfg.eta_ch), EQ, 0.0)
             # capacity compositions
-            rows.append(Row(
+            rows.add(
                 f"esag_cap_up[{t},{k}]",
                 (reg[("r_up", t, k)], reg[("r_up_di", t, k)],
                  reg[("r_dn_ch", t, k)]),
-                (1.0, -1.0, -1.0), EQ, 0.0))
-            rows.append(Row(
+                (1.0, -1.0, -1.0), EQ, 0.0)
+            rows.add(
                 f"esag_cap_dn[{t},{k}]",
                 (reg[("r_dn", t, k)], reg[("r_dn_di", t, k)],
                  reg[("r_up_ch", t, k)]),
-                (1.0, -1.0, -1.0), EQ, 0.0))
+                (1.0, -1.0, -1.0), EQ, 0.0)
             # mode gating: discharge-side offers need b = 1,
             # charge-side offers need b = 0
             b = reg[("b_es", t, k)]
             for fam in ("P_di", "r_up_di", "r_dn_di"):
-                rows.append(Row(
+                rows.add(
                     f"esag_gate_di[{fam},{t},{k}]",
-                    (reg[(fam, t, k)], b), (1.0, -cfg.dr_max), LE, 0.0))
+                    (reg[(fam, t, k)], b), (1.0, -cfg.dr_max), LE, 0.0)
             for fam in ("P_ch", "r_up_ch", "r_dn_ch"):
-                rows.append(Row(
+                rows.add(
                     f"esag_gate_ch[{fam},{t},{k}]",
-                    (reg[(fam, t, k)], b), (1.0, cfg.cr_max), LE, cfg.cr_max))
+                    (reg[(fam, t, k)], b), (1.0, cfg.cr_max), LE, cfg.cr_max)
             # merged gate/headroom rows: implied whenever b is 0 or 1, but
             # they stop a fractional mode bit from claiming capacity on both
             # sides at once, which keeps the relaxation tight enough to
             # solve in seconds instead of hours
-            rows.append(Row(
+            rows.add(
                 f"esag_gate_di_merged[{t},{k}]",
                 (reg[("P_di", t, k)], reg[("r_up_di", t, k)], b),
-                (1.0, 1.0, -cfg.dr_max), LE, 0.0))
-            rows.append(Row(
+                (1.0, 1.0, -cfg.dr_max), LE, 0.0)
+            rows.add(
                 f"esag_gate_ch_merged[{t},{k}]",
                 (reg[("P_ch", t, k)], reg[("r_up_ch", t, k)], b),
-                (1.0, 1.0, cfg.cr_max), LE, cfg.cr_max))
+                (1.0, 1.0, cfg.cr_max), LE, cfg.cr_max)
             # headroom couplings around the scheduled (dis)charge rate
-            rows.append(Row(
+            rows.add(
                 f"esag_di_floor[{t},{k}]",
                 (reg[("P_di", t, k)], reg[("r_dn_di", t, k)]),
-                (1.0, -1.0), GE, 0.0))
-            rows.append(Row(
+                (1.0, -1.0), GE, 0.0)
+            rows.add(
                 f"esag_di_ceiling[{t},{k}]",
                 (reg[("P_di", t, k)], reg[("r_up_di", t, k)]),
-                (1.0, 1.0), LE, cfg.dr_max))
-            rows.append(Row(
+                (1.0, 1.0), LE, cfg.dr_max)
+            rows.add(
                 f"esag_ch_floor[{t},{k}]",
                 (reg[("P_ch", t, k)], reg[("r_dn_ch", t, k)]),
-                (1.0, -1.0), GE, 0.0))
-            rows.append(Row(
+                (1.0, -1.0), GE, 0.0)
+            rows.add(
                 f"esag_ch_ceiling[{t},{k}]",
                 (reg[("P_ch", t, k)], reg[("r_up_ch", t, k)]),
-                (1.0, 1.0), LE, cfg.cr_max))
-    return rows
+                (1.0, 1.0), LE, cfg.cr_max)
 
 
-def add_evcs_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
-    rows: list[Row] = []
+def add_evcs_constraints(s: Scenario, reg: VariableRegistry,
+                         rows: Constraints) -> None:
     sig = s.regulation
     dt = s.horizon.step_hours
     step_index = {t: i for i, t in enumerate(s.horizon.steps)}
@@ -437,57 +421,53 @@ def add_evcs_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
         k = cfg.name
         b = reg[("b_ev", k)]
         for t in cfg.availability:
-            rows.append(Row(f"evcs_gate_p[{t},{k}]",
-                            (reg[("P", t, k)], b),
-                            (1.0, -cfg.er_max), LE, 0.0))
-            rows.append(Row(f"evcs_gate_up[{t},{k}]",
-                            (reg[("r_up", t, k)], b),
-                            (1.0, -cfg.err_max), LE, 0.0))
-            rows.append(Row(f"evcs_gate_dn[{t},{k}]",
-                            (reg[("r_dn", t, k)], b),
-                            (1.0, -cfg.err_max), LE, 0.0))
-            rows.append(Row(f"evcs_up_headroom[{t},{k}]",
-                            (reg[("P", t, k)], reg[("r_up", t, k)]),
-                            (1.0, 1.0), LE, cfg.er_max))
-            rows.append(Row(f"evcs_dn_headroom[{t},{k}]",
-                            (reg[("P", t, k)], reg[("r_dn", t, k)]),
-                            (1.0, -1.0), GE, 0.0))
+            rows.add(f"evcs_gate_p[{t},{k}]",
+                     (reg[("P", t, k)], b),
+                     (1.0, -cfg.er_max), LE, 0.0)
+            rows.add(f"evcs_gate_up[{t},{k}]",
+                     (reg[("r_up", t, k)], b),
+                     (1.0, -cfg.err_max), LE, 0.0)
+            rows.add(f"evcs_gate_dn[{t},{k}]",
+                     (reg[("r_dn", t, k)], b),
+                     (1.0, -cfg.err_max), LE, 0.0)
+            rows.add(f"evcs_up_headroom[{t},{k}]",
+                     (reg[("P", t, k)], reg[("r_up", t, k)]),
+                     (1.0, 1.0), LE, cfg.er_max)
+            rows.add(f"evcs_dn_headroom[{t},{k}]",
+                     (reg[("P", t, k)], reg[("r_dn", t, k)]),
+                     (1.0, -1.0), GE, 0.0)
         # terminal charge window, gated by the enable binary:
         # 0.9*cl_max*b <= e_init*b + gamma*dt*sum(P + r_up*mu - r_dn*mu) <= cl_max*b
         cols: list[int] = [b]
-        lo_coefs: list[float] = [cfg.e_init - 0.9 * cfg.cl_max]
-        hi_coefs: list[float] = [cfg.e_init - cfg.cl_max]
+        charge: list[float] = []
         for t in cfg.availability:
             ti = step_index[t]
             for fam, sign in (("P", 1.0), ("r_up", sig.mu_up[ti]),
                               ("r_dn", -sig.mu_dn[ti])):
                 cols.append(reg[(fam, t, k)])
-                lo_coefs.append(cfg.gamma_ch * dt * sign)
-                hi_coefs.append(cfg.gamma_ch * dt * sign)
-        rows.append(Row(f"evcs_charge_floor[{k}]", tuple(cols),
-                        tuple(lo_coefs), GE, 0.0))
-        rows.append(Row(f"evcs_charge_ceiling[{k}]", tuple(cols),
-                        tuple(hi_coefs), LE, 0.0))
-    return rows
+                charge.append(cfg.gamma_ch * dt * sign)
+        rows.add(f"evcs_charge_floor[{k}]", cols,
+                 [cfg.e_init - 0.9 * cfg.cl_max] + charge, GE, 0.0)
+        rows.add(f"evcs_charge_ceiling[{k}]", cols,
+                 [cfg.e_init - cfg.cl_max] + charge, LE, 0.0)
 
 
-def add_ddgag_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
-    rows: list[Row] = []
+def add_ddgag_constraints(s: Scenario, reg: VariableRegistry,
+                          rows: Constraints) -> None:
     for cfg in s.ddgags:
         for t in s.horizon.steps:
-            rows.append(Row(
+            rows.add(
                 f"ddgag_up_headroom[{t},{cfg.name}]",
                 (reg[("P", t, cfg.name)], reg[("r_up", t, cfg.name)]),
-                (1.0, 1.0), LE, cfg.p_max))
-            rows.append(Row(
+                (1.0, 1.0), LE, cfg.p_max)
+            rows.add(
                 f"ddgag_dn_headroom[{t},{cfg.name}]",
                 (reg[("P", t, cfg.name)], reg[("r_dn", t, cfg.name)]),
-                (1.0, -1.0), GE, cfg.p_min))
-    return rows
+                (1.0, -1.0), GE, cfg.p_min)
 
 
-def add_network_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
-    rows: list[Row] = []
+def add_network_constraints(s: Scenario, reg: VariableRegistry,
+                            rows: Constraints) -> None:
     net = s.network
     steps = s.horizon.steps
     by_node: dict[int, list] = {n: [] for n in net.bus_ids()}
@@ -505,85 +485,63 @@ def add_network_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
         for bus in net.buses:
             # active balance: consumption +, generation -, plus substation
             # injection and net branch outflow, all summing to zero
-            p_cols: list[int] = []
-            p_coefs: list[float] = []
-            q_cols: list[int] = []
-            q_coefs: list[float] = []
+            # column -> coefficient; no column enters a balance twice
+            p: dict[int, float] = {}
+            q: dict[int, float] = {}
             for kind, cfg in by_node[bus.id]:
                 if kind == KIND_DRAG:
                     for a in range(len(cfg.blocks)):
                         j = reg[("P_block", a, t, cfg.name)]
-                        p_cols.append(j)
-                        p_coefs.append(1.0)
-                        q_cols.append(j)
-                        q_coefs.append(cfg.tan_phi)
+                        p[j] = 1.0
+                        q[j] = cfg.tan_phi
                 elif kind == KIND_EVCS:
-                    p_cols.append(reg[("P", t, cfg.name)])
-                    p_coefs.append(1.0)
+                    p[reg[("P", t, cfg.name)]] = 1.0
                 elif kind == KIND_ESAG:
-                    p_cols.append(reg[("P", t, cfg.name)])
-                    p_coefs.append(-1.0)
+                    p[reg[("P", t, cfg.name)]] = -1.0
                 else:
                     j = reg[("P", t, cfg.name)]
-                    p_cols.append(j)
-                    p_coefs.append(-1.0)
-                    q_cols.append(j)
-                    q_coefs.append(-cfg.tan_phi)
+                    p[j] = -1.0
+                    q[j] = -cfg.tan_phi
             if bus.id == net.substation_bus:
-                p_cols.append(reg[("P_sub", t)])
-                p_coefs.append(1.0)
-                q_cols.append(reg[("Q_sub", t)])
-                q_coefs.append(1.0)
+                p[reg[("P_sub", t)]] = 1.0
+                q[reg[("Q_sub", t)]] = 1.0
             for br, a_jn in incident[bus.id]:
-                p_cols.append(reg[("Pl", br.id, t)])
-                p_coefs.append(a_jn)
-                q_cols.append(reg[("Ql", br.id, t)])
-                q_coefs.append(a_jn)
-            rows.append(Row(f"p_balance[{t},{bus.id}]", tuple(p_cols),
-                            tuple(p_coefs), EQ, -bus.p_load[ti]))
-            rows.append(Row(f"q_balance[{t},{bus.id}]", tuple(q_cols),
-                            tuple(q_coefs), EQ, -bus.q_load[ti]))
+                p[reg[("Pl", br.id, t)]] = a_jn
+                q[reg[("Ql", br.id, t)]] = a_jn
+            rows.add(f"p_balance[{t},{bus.id}]", p.keys(), p.values(), EQ,
+                     -bus.p_load[ti])
+            rows.add(f"q_balance[{t},{bus.id}]", q.keys(), q.values(), EQ,
+                     -bus.q_load[ti])
         # voltage drop along each branch; branch impedances are p.u., so
         # MW/MVAr flows are converted through the network base
         for br in net.branches:
-            rows.append(Row(
+            rows.add(
                 f"voltage_drop[{t},{br.id}]",
                 (reg[("V", br.to_bus, t)], reg[("V", br.from_bus, t)],
                  reg[("Pl", br.id, t)], reg[("Ql", br.id, t)]),
-                (1.0, -1.0, br.r / net.s_base, br.x / net.s_base), EQ, 0.0))
-        rows.append(Row(
+                (1.0, -1.0, br.r / net.s_base, br.x / net.s_base), EQ, 0.0)
+        rows.add(
             f"voltage_anchor[{t}]",
             (reg[("V", net.substation_bus, t)],), (1.0,), EQ,
-            net.v_substation))
-    return rows
+            net.v_substation)
 
 
-def add_aggregation_constraints(s: Scenario, reg: VariableRegistry) -> list[Row]:
+def add_aggregation_constraints(s: Scenario, reg: VariableRegistry,
+                                rows: Constraints) -> None:
     """Substation offers: generation-side up plus load-side down (and the
     symmetric cross-mapping for the down product)."""
-    rows: list[Row] = []
     gen_names = [c.name for c in s.esags] + [c.name for c in s.ddgags]
     load_names = [c.name for c in s.drags] + [c.name for c in s.evcss]
+    coefs = [1.0] + [-1.0] * (len(gen_names) + len(load_names))
     for t in s.horizon.steps:
-        up_cols = [reg[("r_sub_up", t)]]
-        up_coefs = [1.0]
-        dn_cols = [reg[("r_sub_dn", t)]]
-        dn_coefs = [1.0]
-        for name in gen_names:
-            up_cols.append(reg[("r_up", t, name)])
-            up_coefs.append(-1.0)
-            dn_cols.append(reg[("r_dn", t, name)])
-            dn_coefs.append(-1.0)
-        for name in load_names:
-            up_cols.append(reg[("r_dn", t, name)])
-            up_coefs.append(-1.0)
-            dn_cols.append(reg[("r_up", t, name)])
-            dn_coefs.append(-1.0)
-        rows.append(Row(f"agg_up[{t}]", tuple(up_cols), tuple(up_coefs),
-                        EQ, 0.0))
-        rows.append(Row(f"agg_dn[{t}]", tuple(dn_cols), tuple(dn_coefs),
-                        EQ, 0.0))
-    return rows
+        up_cols = ([reg[("r_sub_up", t)]]
+                   + [reg[("r_up", t, name)] for name in gen_names]
+                   + [reg[("r_dn", t, name)] for name in load_names])
+        dn_cols = ([reg[("r_sub_dn", t)]]
+                   + [reg[("r_dn", t, name)] for name in gen_names]
+                   + [reg[("r_up", t, name)] for name in load_names])
+        rows.add(f"agg_up[{t}]", up_cols, coefs, EQ, 0.0)
+        rows.add(f"agg_dn[{t}]", dn_cols, coefs, EQ, 0.0)
 
 
 def expected_row_count(s: Scenario) -> int:
@@ -603,16 +561,18 @@ def build(s: Scenario) -> MilpProblem:
         raise ScenarioValidationError(report)
     reg = build_registry(s)
     lower, upper, integral = build_bounds(s, reg)
-    rows: list[Row] = []
-    rows += add_drag_constraints(s, reg)
-    rows += add_esag_constraints(s, reg)
-    rows += add_evcs_constraints(s, reg)
-    rows += add_ddgag_constraints(s, reg)
-    rows += add_network_constraints(s, reg)
-    rows += add_aggregation_constraints(s, reg)
+    rows = Constraints()
+    for add_family in (add_drag_constraints, add_esag_constraints,
+                       add_evcs_constraints, add_ddgag_constraints,
+                       add_network_constraints, add_aggregation_constraints):
+        add_family(s, reg, rows)
     return MilpProblem(
         objective=build_objective(s, reg),
-        rows=tuple(rows),
+        A=sparse.csr_matrix((rows.coef, (rows.row, rows.col)),
+                            shape=(len(rows.names), len(reg))),
+        sense=np.array(rows.senses),
+        rhs=np.array(rows.rhs, dtype=float),
+        row_names=tuple(rows.names),
         lower=lower,
         upper=upper,
         integrality=integral,

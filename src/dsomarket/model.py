@@ -321,6 +321,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if len(xs) != T:
             bad("SERIES_LENGTH_MISMATCH",
                 f"regulation.{label} has {len(xs)} entries, horizon has {T}")
+        elif not _finite(xs):
+            bad("VALUE_NOT_FINITE",
+                f"regulation.{label} contains non-finite values")
         elif any(x < 0 for x in xs):
             bad("SIGNAL_OUT_OF_RANGE", f"regulation.{label} must be >= 0")
 

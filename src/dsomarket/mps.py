@@ -25,51 +25,39 @@ def write_mps(problem: MilpProblem, path: str, name: str = "DSOMILP") -> None:
 
 
 def format_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
+    rows = [f"R{i:07d}" for i in range(len(problem.row_names))]
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    for i, row in enumerate(problem.rows):
-        lines.append(f" {_SENSE[row.sense]}  R{i:07d}")
+    lines += [f" {_SENSE[s]}  {r}" for s, r in zip(problem.sense, rows)]
 
-    # gather per-column entries (objective first, then rows in order)
-    entries: dict[int, list[tuple[str, float]]] = {
-        j: [] for j in range(problem.num_cols)}
-    for j, coef in enumerate(problem.objective):
-        if coef != 0.0:
-            entries[j].append(("COST", float(coef)))
-    for i, row in enumerate(problem.rows):
-        for j, coef in zip(row.cols, row.coefs):
-            entries[j].append((f"R{i:07d}", float(coef)))
-
+    # each column's entries: objective first, then its rows in build order
+    A = problem.A.tocsc()
+    entries = [f"{rows[i]:<10}{_num(coef):>15}"
+               for i, coef in zip(A.indices.tolist(), A.data.tolist())]
+    starts = A.indptr.tolist()
     lines.append("COLUMNS")
     in_integer = False
     marker = 0
-    for j in range(problem.num_cols):
-        integral = bool(problem.integrality[j])
-        if integral and not in_integer:
+    for j, (cost, integral) in enumerate(zip(problem.objective.tolist(),
+                                             problem.integrality.tolist())):
+        if integral != in_integer:
+            kind = "'INTORG'" if integral else "'INTEND'"
             lines.append(f"    MARKER{marker:04d}  'MARKER'                 "
-                         "'INTORG'")
+                         + kind)
             marker += 1
-            in_integer = True
-        elif not integral and in_integer:
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 "
-                         "'INTEND'")
-            marker += 1
-            in_integer = False
+            in_integer = integral
         col = f"C{j:07d}"
-        pairs = entries[j]
-        for a in range(0, len(pairs), 2):
-            chunk = pairs[a:a + 2]
-            parts = [f"    {col:<10}"]
-            for rname, coef in chunk:
-                parts.append(f"{rname:<10}{_num(coef):>15}")
-            lines.append("  ".join(parts))
+        fields = entries[starts[j]:starts[j + 1]]
+        if cost != 0.0:
+            fields.insert(0, f"{'COST':<10}{_num(cost):>15}")
+        for a in range(0, len(fields), 2):
+            lines.append("  ".join([f"    {col:<10}", *fields[a:a + 2]]))
     if in_integer:
         lines.append(f"    MARKER{marker:04d}  'MARKER'                 "
                      "'INTEND'")
 
     lines.append("RHS")
-    for i, row in enumerate(problem.rows):
-        if row.rhs != 0.0:
-            lines.append(f"    RHS         R{i:07d}  {_num(row.rhs):>15}")
+    lines += [f"    RHS         {r}  {_num(b):>15}"
+              for r, b in zip(rows, problem.rhs.tolist()) if b != 0.0]
 
     lines.append("BOUNDS")
     for j in range(problem.num_cols):
@@ -85,5 +73,6 @@ def format_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
             lines.append(f" LO BND         {col}  {_num(lo):>15}")
         if hi_fin:
             lines.append(f" UP BND         {col}  {_num(hi):>15}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    # the empty last item ends the text in a newline without a second copy
+    lines += ["ENDATA", ""]
+    return "\n".join(lines)

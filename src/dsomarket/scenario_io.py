@@ -225,7 +225,8 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, tuple[str, ...]]:
     applied: list[str] = []
     _check_keys(_require_mapping(doc, "document"), "document", _DOC_REQUIRED,
                 {"assumptions"})
-    if doc["version"] != SCHEMA_VERSION:
+    # a boolean is not a version number, though True == 1
+    if isinstance(doc["version"], bool) or doc["version"] != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported schema version {doc['version']!r}, "
             f"expected {SCHEMA_VERSION}")
@@ -254,7 +255,9 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, tuple[str, ...]]:
     offers = {name: _parse(OfferPrices, o, f"offers[{name}]", applied, T)
               for name, o in _require_mapping(doc["offers"], "offers").items()}
 
-    if "assumptions" in doc and not isinstance(doc["assumptions"], list):
+    notes = doc.get("assumptions", [])
+    if not (isinstance(notes, list)
+            and all(isinstance(n, str) for n in notes)):
         raise SchemaError("assumptions must be a list of strings")
 
     scenario = Scenario(horizon=horizon, **parts,

@@ -9,9 +9,11 @@ the previous node left, so a node costs a few pivots instead of a full
 solve.  A one-shot ``solve_lp`` runs the same code on a fresh model.
 Problems that differ only in their objective, such as the cases of a price
 sweep, can share one model (only the changed costs are sent) and seed each
-search with the previous optimum.  The branch-and-bound search on top is our own: best-first node order
-with insertion-order tie-breaking, branching on the most fractional
-binary with lowest-index tie-breaking.
+search with the previous optimum.
+
+The branch-and-bound search on top is our own: best-first node order with
+insertion-order tie-breaking, branching on the most fractional binary with
+lowest-index tie-breaking.
 """
 
 from __future__ import annotations
@@ -326,13 +328,7 @@ def _check_start(problem, start, int_cols, opts: SolveOptions) -> np.ndarray:
     binary = x[int_cols]
     if np.any(np.abs(binary - np.round(binary)) > opts.integrality_tol):
         raise ValueError("start is fractional on a binary column")
-    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
-    excess = [problem.lower - x, x - problem.upper]
-    if A_ub is not None:
-        excess.append(A_ub @ x - b_ub)
-    if A_eq is not None:
-        excess.append(np.abs(A_eq @ x - b_eq))
-    worst = max(float(np.max(e, initial=0.0)) for e in excess)
+    worst = problem.max_residual(x)
     if worst > opts.feasibility_tol:
         raise ValueError(f"start violates a bound or row by {worst:.3g}")
     return x

@@ -46,6 +46,16 @@ def bundled_schedule(bundled, bundled_problem, bundled_solution):
                   bundled_solution.status)
 
 
+def rows_by_name(problem):
+    """Every constraint row of a problem as name -> (cols, coefs, sense,
+    rhs), with the row's entries in column order."""
+    A = problem.A
+    return {name: (A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
+                   A.data[A.indptr[i]:A.indptr[i + 1]].tolist(),
+                   str(problem.sense[i]), float(problem.rhs[i]))
+            for i, name in enumerate(problem.row_names)}
+
+
 def make_scenario(T=2, kinds=("ddgag",), *, wholesale_energy=30.0,
                   cap_price=5.0, offer_energy=20.0, offer_cap=4.0,
                   extra_load_bus=False, p_load=0.0, s_base=1.0,

@@ -11,23 +11,27 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from dsomarket.formulation import EQ, GE, LE, MilpProblem, Row, VariableRegistry
+from dsomarket.formulation import MilpProblem, VariableRegistry
 
 
 def make_problem(c, A, senses, b, lower, upper, integrality) -> MilpProblem:
-    """Wrap dense arrays as a MilpProblem for solver-level tests."""
+    """Wrap dense arrays as a MilpProblem for solver-level tests.  Every
+    dense entry is kept, explicit zeros included."""
     reg = VariableRegistry()
     for j in range(len(c)):
         reg.add("x", j)
-    rows = tuple(
-        Row(f"row{i}", tuple(range(len(c))), tuple(float(v) for v in A[i]),
-            senses[i], float(b[i]))
-        for i in range(len(b)))
+    A = np.asarray(A, dtype=float).reshape(len(b), len(c))
+    rows, cols = np.indices(A.shape)
     return MilpProblem(
         objective=np.asarray(c, dtype=float),
-        rows=rows,
+        A=sparse.csr_matrix((A.ravel(), (rows.ravel(), cols.ravel())),
+                            shape=A.shape),
+        sense=np.array(senses),
+        rhs=np.asarray(b, dtype=float),
+        row_names=tuple(f"row{i}" for i in range(len(b))),
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
         integrality=np.asarray(integrality, dtype=bool),

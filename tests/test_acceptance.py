@@ -133,9 +133,10 @@ def test_criterion_3_bundled_solve(report, bundled, bundled_problem,
     elapsed = time.monotonic() - start
     residual = bundled_problem.max_residual(solution.values)
     residual_pu = residual / bundled.network.s_base
-    agg_residual = max(row.residual(solution.values)
-                       for row in bundled_problem.rows
-                       if row.name.startswith("agg_"))
+    agg_residual = max(
+        r for name, r in zip(bundled_problem.row_names,
+                             bundled_problem.row_residuals(solution.values))
+        if name.startswith("agg_"))
     ok = (solution.status == OPTIMAL and solution.gap <= 1e-6
           and elapsed < 60.0 and residual_pu <= 1e-6
           and agg_residual <= 1e-9)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, rows_by_name
 from dsomarket import analysis
 from dsomarket.analysis import (
     CHUNK_CASES,
@@ -144,8 +144,8 @@ def test_scaled_case_changes_only_the_objective(bundled, bundled_problem,
     base = bundled_problem
     problem = build(case)
     assert problem.registry.keys() == base.registry.keys()
-    assert [(r.cols, r.coefs, r.sense, r.rhs) for r in problem.rows] == \
-        [(r.cols, r.coefs, r.sense, r.rhs) for r in base.rows]
+    assert list(rows_by_name(problem).items()) == \
+        list(rows_by_name(base).items())
     assert np.array_equal(problem.lower, base.lower)
     assert np.array_equal(problem.upper, base.upper)
     assert np.array_equal(problem.integrality, base.integrality)

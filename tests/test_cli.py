@@ -56,7 +56,8 @@ def _edited_bundled(tmp_path, path, value):
 @pytest.mark.parametrize("path, value", [
     (("horizon", "step_hours"), "a"),
     (("aggregators", 0, "blocks"), 5),
-], ids=["step_hours string", "drag blocks number"])
+    (("assumptions",), [1, None]),
+], ids=["step_hours string", "drag blocks number", "assumptions not strings"])
 def test_validate_wrong_type_exits_3(tmp_path, capsys, path, value):
     assert cli.main(["validate", _edited_bundled(tmp_path, path, value)]) == 3
     err = capsys.readouterr().err
@@ -72,6 +73,22 @@ def test_validate_wrong_type_exits_3(tmp_path, capsys, path, value):
 def test_validate_non_finite_scalar_exits_1(tmp_path, capsys, path):
     edited = _edited_bundled(tmp_path, path, float("nan"))
     assert cli.main(["validate", edited]) == 1
+    err = capsys.readouterr().err
+    assert "VALUE_NOT_FINITE" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("path, value", [
+    (("regulation_signal", "s_up", 3), float("nan")),
+    (("regulation_signal", "s_dn", 3), float("inf")),
+], ids=["s_up nan", "s_dn inf"])
+def test_non_finite_regulation_signal_exits_1(tmp_path, capsys, command,
+                                              path, value):
+    argv = [command, _edited_bundled(tmp_path, path, value)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "VALUE_NOT_FINITE" in err
     assert "Traceback" not in err

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import make_scenario, rows_by_name
+from oracles import make_problem
 from dsomarket.formulation import (
     EQ,
     GE,
     LE,
+    Constraints,
     DimensionMismatch,
     NonOptimalStatus,
-    Row,
     VariableRegistry,
     add_network_constraints,
     build,
@@ -52,7 +53,7 @@ def test_build_rejects_invalid_scenario():
 
 
 def test_row_count_matches_closed_form(bundled, bundled_problem):
-    assert len(bundled_problem.rows) == expected_row_count(bundled)
+    assert len(bundled_problem.row_names) == expected_row_count(bundled)
 
 
 @pytest.mark.parametrize("kinds", [
@@ -61,14 +62,14 @@ def test_row_count_matches_closed_form(bundled, bundled_problem):
 ])
 def test_row_count_closed_form_per_kind(kinds):
     s = make_scenario(T=3, kinds=kinds)
-    assert len(build(s).rows) == expected_row_count(s)
+    assert len(build(s).row_names) == expected_row_count(s)
 
 
 def test_single_generator_single_hour_rows():
     # one hour, one dispatchable generator: its two headroom rows plus the
     # network and substation aggregation rows, nothing else
     s = make_scenario(T=1, kinds=("ddgag",))
-    names = sorted(row.name for row in build(s).rows)
+    names = sorted(build(s).row_names)
     assert names == sorted([
         "ddgag_up_headroom[1,ddgag-x]", "ddgag_dn_headroom[1,ddgag-x]",
         "p_balance[1,1]", "q_balance[1,1]",
@@ -130,21 +131,20 @@ def test_objective_coefficients_spot_checks(bundled, bundled_problem):
 
 
 def test_storage_state_row_links_hours(bundled, bundled_problem):
-    rows = {row.name: row for row in bundled_problem.rows}
+    rows = rows_by_name(bundled_problem)
     reg = bundled_problem.registry
-    first = rows["esag_state[1,esag-1]"]
-    assert first.sense == EQ
-    assert first.rhs == pytest.approx(bundled.esags[0].e_init)
-    later = rows["esag_state[2,esag-1]"]
-    assert later.rhs == 0.0
-    assert reg[("E", 1, "esag-1")] in later.cols
+    _, _, sense, rhs = rows["esag_state[1,esag-1]"]
+    assert sense == EQ
+    assert rhs == pytest.approx(bundled.esags[0].e_init)
+    cols, _, _, rhs = rows["esag_state[2,esag-1]"]
+    assert rhs == 0.0
+    assert reg[("E", 1, "esag-1")] in cols
 
 
 def test_voltage_drop_row_uses_network_base(bundled, bundled_problem):
-    rows = {row.name: row for row in bundled_problem.rows}
-    row = rows["voltage_drop[1,1]"]
+    cols, coefs, _, _ = rows_by_name(bundled_problem)["voltage_drop[1,1]"]
     br = bundled.network.branches[0]
-    coef = dict(zip(row.cols, row.coefs))
+    coef = dict(zip(cols, coefs))
     reg = bundled_problem.registry
     assert coef[reg[("Pl", br.id, 1)]] == pytest.approx(
         br.r / bundled.network.s_base)
@@ -154,13 +154,13 @@ def test_balance_rows_list_branches_in_order(bundled, bundled_problem):
     # reference: scan every branch for every bus, as the incidence defines
     net = bundled.network
     reg = bundled_problem.registry
-    rows = {row.name: row for row in bundled_problem.rows}
+    rows = rows_by_name(bundled_problem)
     for t in bundled.horizon.steps:
         for bus in net.buses:
             for kind, flow in (("p", "Pl"), ("q", "Ql")):
-                row = rows[f"{kind}_balance[{t},{bus.id}]"]
+                cols, coefs, _, _ = rows[f"{kind}_balance[{t},{bus.id}]"]
                 flows = {reg[(flow, br.id, t)]: br for br in net.branches}
-                terms = [(flows[j].id, c) for j, c in zip(row.cols, row.coefs)
+                terms = [(flows[j].id, c) for j, c in zip(cols, coefs)
                          if j in flows]
                 assert terms == [(br.id, float(net.incidence(br, bus.id)))
                                  for br in net.branches
@@ -173,15 +173,14 @@ def test_network_rows_reject_self_loop(bundled):
     s = replace(bundled, network=replace(
         net, branches=(loop,) + net.branches[1:]))
     with pytest.raises(InconsistentTopology):
-        add_network_constraints(s, build_registry(bundled))
+        add_network_constraints(s, build_registry(bundled), Constraints())
 
 
 def test_aggregation_rows_cross_map_sides(bundled, bundled_problem):
     # load-side capacity-down backs the substation's capacity-up offer
-    rows = {row.name: row for row in bundled_problem.rows}
+    cols, coefs, _, _ = rows_by_name(bundled_problem)["agg_up[1]"]
     reg = bundled_problem.registry
-    up = rows["agg_up[1]"]
-    coef = dict(zip(up.cols, up.coefs))
+    coef = dict(zip(cols, coefs))
     assert coef[reg[("r_sub_up", 1)]] == 1.0
     assert coef[reg[("r_up", 1, "esag-1")]] == -1.0
     assert coef[reg[("r_up", 1, "ddgag-1")]] == -1.0
@@ -190,17 +189,22 @@ def test_aggregation_rows_cross_map_sides(bundled, bundled_problem):
     assert reg[("r_up", 1, "drag-1")] not in coef
 
 
+def _one_row(coefs, sense, rhs):
+    n = len(coefs)
+    return make_problem(c=[0.0] * n, A=[coefs], senses=[sense], b=[rhs],
+                        lower=[-np.inf] * n, upper=[np.inf] * n,
+                        integrality=[False] * n)
+
+
 def test_row_residual_per_sense():
-    le = Row("r", (0,), (1.0,), LE, 2.0)
-    ge = Row("r", (0,), (1.0,), GE, 2.0)
-    eq = Row("r", (0,), (1.0,), EQ, 2.0)
+    le, ge, eq = (_one_row([1.0], sense, 2.0) for sense in (LE, GE, EQ))
     x = np.array([3.0])
-    assert le.residual(x) == pytest.approx(1.0)
-    assert ge.residual(x) == 0.0
-    assert eq.residual(x) == pytest.approx(1.0)
+    assert le.row_residuals(x)[0] == pytest.approx(1.0)
+    assert ge.row_residuals(x)[0] == 0.0
+    assert eq.row_residuals(x)[0] == pytest.approx(1.0)
     x = np.array([1.0])
-    assert le.residual(x) == 0.0
-    assert ge.residual(x) == pytest.approx(1.0)
+    assert le.row_residuals(x)[0] == 0.0
+    assert ge.row_residuals(x)[0] == pytest.approx(1.0)
 
 
 def test_max_residual_covers_bounds():
@@ -209,7 +213,8 @@ def test_max_residual_covers_bounds():
     x = np.zeros(problem.num_cols)
     # voltage anchor forces V(substation) = 1, so a zero vector violates it
     assert problem.max_residual(x) >= 1.0
-    names = [name for name, _ in problem.residual_report(x, 1e-9)]
+    names = [name for name, r in zip(problem.row_names,
+                                     problem.row_residuals(x)) if r > 1e-9]
     assert "voltage_anchor[1]" in names
     x = np.full(problem.num_cols, 1e6)
     assert problem.max_residual(x) > 1e5   # upper bounds violated
@@ -253,23 +258,21 @@ def test_decode_sums_demand_blocks():
 
 def test_relaxation_arrays_reproduce_rows(bundled_problem):
     A_ub, b_ub, A_eq, b_eq = bundled_problem.relaxation_arrays
-    n_eq = sum(1 for row in bundled_problem.rows if row.sense == EQ)
+    n_eq = int(np.sum(bundled_problem.sense == EQ))
     assert A_eq.shape == (n_eq, bundled_problem.num_cols)
-    assert A_ub.shape[0] + n_eq == len(bundled_problem.rows)
+    assert A_ub.shape[0] + n_eq == len(bundled_problem.row_names)
     # a satisfied point has no positive residual in the stacked system
     x = np.zeros(bundled_problem.num_cols)
     lhs = A_ub @ x
-    manual = [row.residual(x) for row in bundled_problem.rows
-              if row.sense != EQ]
+    manual = bundled_problem.row_residuals(x)[bundled_problem.sense != EQ]
     assert max(np.maximum(lhs - b_ub, 0.0)) == pytest.approx(max(manual))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
        st.sampled_from([LE, GE, EQ]))
 def test_residual_is_nonnegative_and_tight(coefs, sense):
-    row = Row("r", (0, 1), tuple(coefs), sense, 1.0)
     x = np.array([0.7, -1.3])
-    r = row.residual(x)
+    r = _one_row(coefs, sense, 1.0).row_residuals(x)[0]
     assert r >= 0.0
     lhs = coefs[0] * x[0] + coefs[1] * x[1]
     satisfied = {LE: lhs <= 1.0, GE: lhs >= 1.0, EQ: lhs == 1.0}[sense]

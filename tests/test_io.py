@@ -96,8 +96,11 @@ def test_wrong_type_rejected(bundled):
     (("aggregators", 0, "blocks"), {},
      "aggregators[0].blocks must be a list"),
     (("aggregators", 0, "blocks"), 5, "aggregators[0].blocks must be a list"),
+    (("assumptions",), [1, None], "assumptions must be a list of strings"),
+    (("version",), True, "unsupported schema version True, expected 1"),
 ], ids=["step_hours bool", "step_hours string", "v_substation bool",
-        "blocks object", "blocks number"])
+        "blocks object", "blocks number", "assumptions not strings",
+        "version bool"])
 def test_malformed_value_rejected(bundled, path, value, message):
     doc = scenario_to_dict(bundled)
     edit(doc, path, value)

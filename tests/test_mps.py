@@ -1,5 +1,7 @@
 """MPS export: sections, naming scheme, integer markers, determinism."""
 
+import hashlib
+
 import numpy as np
 
 from conftest import make_scenario
@@ -75,7 +77,13 @@ def test_bundled_export_counts(bundled_problem):
     text = format_mps(bundled_problem)
     lines = text.splitlines()
     row_lines = [l for l in lines if l.startswith((" L ", " G ", " E "))]
-    assert len(row_lines) == len(bundled_problem.rows)
+    assert len(row_lines) == len(bundled_problem.row_names)
     # 24 storage-mode binaries and the EV enable bit form integer runs
     assert text.count("'INTORG'") == text.count("'INTEND'")
     assert text.count("'INTORG'") >= 1
+
+
+def test_bundled_export_bytes_are_pinned(bundled_problem):
+    text = format_mps(bundled_problem)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ccd219aec1592e354d0cb0faac894c99be7a346ae495956405796437143b5e52")
