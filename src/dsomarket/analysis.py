@@ -1,11 +1,14 @@
 """Post-solve economics: revenue decomposition and the price sweep.
 
-Revenue follows the objective's payment terms regrouped per entity:
-generation-side aggregators earn their energy offer price on scheduled
-injections, load-side aggregators' energy purchases are reported as
-negative income, and every aggregator earns capacity and mileage payments
-on its regulation awards.  The DSO wholesale position is reported with
-income positive.
+Revenue is read off the objective's own price table,
+:func:`~dsomarket.formulation.settlement_prices`: each column's energy,
+capacity and mileage prices times its value, summed over the columns an
+entity owns.  Generation-side aggregators earn their energy offer price on
+scheduled injections, load-side aggregators' energy purchases (each DRAG
+block at its own bid price) are reported as negative income, and every
+aggregator earns capacity and mileage payments on its regulation awards.
+The DSO wholesale position is the negated payments of the substation
+columns, so it is reported with income positive.
 """
 
 from __future__ import annotations
@@ -16,10 +19,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .formulation import MilpProblem, Schedule, build, build_objective, decode
+from .formulation import (
+    MilpProblem,
+    Schedule,
+    build,
+    build_objective,
+    decode,
+    settlement_prices,
+)
 from .model import (
     KIND_DRAG,
-    KIND_EVCS,
     Scenario,
     ScenarioValidationError,
     validate_scenario,
@@ -64,54 +73,18 @@ def compute_revenue(schedule: Schedule, scenario: Scenario) -> RevenueReport:
     """
     if schedule.scenario_hash != scenario_hash(scenario):
         raise StaleSchedule("schedule does not belong to this scenario")
-    sig = scenario.regulation
-    w = scenario.wholesale
-    dt = scenario.horizon.step_hours
+    paid = settlement_prices(scenario, schedule.registry) * schedule.values
+    # (energy, capacity, mileage) paid to each aggregator and, per hour, by
+    # the DSO's columns; the DSO's position is what it is paid, so negated
+    totals = schedule.registry.sum_by_owner(paid)
     steps = scenario.horizon.steps
-
-    entities: dict[str, EntityRevenue] = {}
-    for kind, cfg in scenario.aggregators():
-        name = cfg.name
-        o = scenario.offers[name]
-        energy = capacity = mileage = 0.0
-        for ti, t in enumerate(steps):
-            p = schedule.energy[name][t]
-            if kind == KIND_DRAG:
-                # stepwise demand: expenditure priced per block
-                spent = 0.0
-                remaining = p
-                for block in cfg.blocks:
-                    take = min(max(remaining, 0.0), block.p_max)
-                    spent += take * block.prices[ti] * dt
-                    remaining -= take
-                energy -= spent
-            elif kind == KIND_EVCS:
-                energy -= p * o.energy[ti] * dt
-            else:
-                energy += p * o.energy[ti] * dt
-            up = schedule.cap_up[name][t]
-            dn = schedule.cap_dn[name][t]
-            capacity += up * o.cap_up[ti] + dn * o.cap_dn[ti]
-            mileage += (up * sig.s_up[ti] * sig.mu_up[ti] * o.mil_up[ti]
-                        + dn * sig.s_dn[ti] * sig.mu_dn[ti] * o.mil_dn[ti])
-        entities[name] = EntityRevenue(energy, capacity, mileage)
-
-    dso_energy = dso_capacity = dso_mileage = 0.0
-    position: dict[int, float] = {}
-    for ti, t in enumerate(steps):
-        e = schedule.p_sub[t] * w.energy[ti] * dt
-        cap = (schedule.r_sub_up[t] * w.cap_up[ti]
-               + schedule.r_sub_dn[t] * w.cap_dn[ti])
-        mil = (schedule.r_sub_up[t] * sig.s_up[ti] * sig.mu_up[ti] * w.mil_up[ti]
-               + schedule.r_sub_dn[t] * sig.s_dn[ti] * sig.mu_dn[ti]
-               * w.mil_dn[ti])
-        dso_energy += e
-        dso_capacity += cap
-        dso_mileage += mil
-        position[t] = e + cap + mil
-    return RevenueReport(entities=entities, dso_energy=dso_energy,
-                         dso_capacity=dso_capacity, dso_mileage=dso_mileage,
-                         dso_position=position)
+    hours = [totals[t] for t in steps]
+    energy, capacity, mileage = (0.0 - sum(part) for part in zip(*hours))
+    return RevenueReport(
+        entities={cfg.name: EntityRevenue(*totals[cfg.name])
+                  for _, cfg in scenario.aggregators()},
+        dso_energy=energy, dso_capacity=capacity, dso_mileage=mileage,
+        dso_position={t: 0.0 - sum(h) for t, h in zip(steps, hours)})
 
 
 def regrouping_residual(report: RevenueReport, objective: float) -> float:

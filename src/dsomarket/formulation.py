@@ -1,18 +1,20 @@
 """Compile a Scenario into a sparse mixed-integer linear program.
 
-Variable registry, objective, and all constraint families for the DSO
-coordination problem: demand response blocks, storage charge dynamics with
-mode binaries, EV charging windows with an enable binary, dispatchable
-generation limits, linearized radial power flow, and the substation-level
-aggregation identities.  The compiled :class:`MilpProblem` holds the
-constraints as one sparse matrix ``A`` (CSR, rows in build order) with a
-``sense``, ``rhs`` and name per row; the LP relaxation, the residual checks
-and the MPS export all read that matrix.  Also decodes raw solver vectors
-back into a :class:`Schedule`.
+Variable registry (each column declared once, with its bounds and
+integrality), the settlement price table whose sum is the objective, and
+all constraint families for the DSO coordination problem: demand response
+blocks, storage charge dynamics with mode binaries, EV charging windows
+with an enable binary, dispatchable generation limits, linearized radial
+power flow, and the substation-level aggregation identities.  The compiled
+:class:`MilpProblem` holds the constraints as one sparse matrix ``A`` (CSR,
+rows in build order) with a ``sense``, ``rhs`` and name per row; the LP
+relaxation, the residual checks and the MPS export all read that matrix.
+Also decodes raw solver vectors back into a :class:`Schedule`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,26 +45,45 @@ class NonOptimalStatus(RuntimeError):
 
 
 class VariableRegistry:
-    """Bijective map from (family, *subscripts) keys to column indices."""
+    """Bijective map from (family, *subscripts) keys to column indices,
+    with each column's bounds and integrality.
+
+    A key's last part names the column's owner: an aggregator's name, or
+    the hour of a DSO (substation or network) column.
+    """
 
     def __init__(self) -> None:
         self._index: dict[VarKey, int] = {}
         self._keys: list[VarKey] = []
+        # packed, so that the problem's bound arrays can be views of them
+        self._lower = array("d")
+        self._upper = array("d")
+        self._binary = array("b")
 
-    def add(self, *key) -> int:
-        key = tuple(key)
+    def add(self, *key, lower: float = -np.inf, upper: float = np.inf,
+            binary: bool = False) -> int:
+        """Declare the next column; a binary one is integral on [0, 1]."""
         if key in self._index:
             raise ValueError(f"duplicate variable {key}")
+        if binary:
+            lower, upper = 0.0, 1.0
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._binary.append(binary)
         idx = len(self._keys)
         self._index[key] = idx
         self._keys.append(key)
         return idx
 
     def __getitem__(self, key: VarKey) -> int:
-        return self._index[tuple(key)]
+        return self._index[key]
+
+    def columns(self, keys) -> list[int]:
+        """Column index of each key."""
+        return list(map(self._index.__getitem__, keys))
 
     def __contains__(self, key: VarKey) -> bool:
-        return tuple(key) in self._index
+        return key in self._index
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -72,6 +93,33 @@ class VariableRegistry:
 
     def key_of(self, idx: int) -> VarKey:
         return self._keys[idx]
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-column lower and upper bounds and the integrality mask, as
+        views of the registry's storage: no column can be declared while
+        they are alive."""
+        return (np.frombuffer(self._lower), np.frombuffer(self._upper),
+                np.frombuffer(self._binary, dtype=bool))
+
+    @cached_property
+    def _owner_groups(self) -> tuple[list, np.ndarray, np.ndarray]:
+        # owners in first-seen order, the column indices grouped by owner,
+        # and where each group starts
+        groups: dict[object, list[int]] = {}
+        for j, key in enumerate(self._keys):
+            groups.setdefault(key[-1], []).append(j)
+        sizes = [len(cols) for cols in groups.values()]
+        return (list(groups), np.concatenate(list(groups.values())),
+                np.cumsum([0] + sizes[:-1]))
+
+    def sum_by_owner(self, table: np.ndarray) -> dict[object, list[float]]:
+        """Sum a (k, n) table's columns per owner, each owner's columns in
+        column order and from 0.0, as Python's ``sum`` does (so an all-zero
+        sum is 0.0, not -0.0).  The grouping is made at the first call, so
+        call it only when every column is declared."""
+        owners, order, starts = self._owner_groups
+        sums = np.add.reduceat(table[:, order], starts, axis=1) + 0.0
+        return dict(zip(owners, sums.T.tolist()))
 
 
 class Constraints:
@@ -168,152 +216,115 @@ class Schedule:
     objective: float
     scenario_hash: str
     values: np.ndarray = field(repr=False)
+    registry: VariableRegistry = field(repr=False)
 
 
 def build_registry(s: Scenario) -> VariableRegistry:
-    """Create every decision column in deterministic order."""
+    """Declare every decision column, with its bounds and integrality, in
+    deterministic order."""
     reg = VariableRegistry()
-    steps = s.horizon.steps
-    for t in steps:
-        reg.add("P_sub", t)
-        reg.add("Q_sub", t)
-        reg.add("r_sub_up", t)
-        reg.add("r_sub_dn", t)
-    for cfg in s.drags:
-        for t in steps:
-            for a in range(len(cfg.blocks)):
-                reg.add("P_block", a, t, cfg.name)
-            reg.add("r_up", t, cfg.name)
-            reg.add("r_dn", t, cfg.name)
-    for cfg in s.esags:
-        for t in steps:
-            reg.add("P", t, cfg.name)
-            reg.add("E", t, cfg.name)
-            reg.add("P_di", t, cfg.name)
-            reg.add("P_ch", t, cfg.name)
-            reg.add("r_up", t, cfg.name)
-            reg.add("r_dn", t, cfg.name)
-            reg.add("r_up_di", t, cfg.name)
-            reg.add("r_dn_di", t, cfg.name)
-            reg.add("r_up_ch", t, cfg.name)
-            reg.add("r_dn_ch", t, cfg.name)
-            reg.add("b_es", t, cfg.name)
-    for cfg in s.evcss:
-        for t in steps:
-            reg.add("P", t, cfg.name)
-            reg.add("r_up", t, cfg.name)
-            reg.add("r_dn", t, cfg.name)
-        reg.add("b_ev", cfg.name)
-    for cfg in s.ddgags:
-        for t in steps:
-            reg.add("P", t, cfg.name)
-            reg.add("r_up", t, cfg.name)
-            reg.add("r_dn", t, cfg.name)
-    for br in s.network.branches:
-        for t in steps:
-            reg.add("Pl", br.id, t)
-            reg.add("Ql", br.id, t)
-    for bus in s.network.buses:
-        for t in steps:
-            reg.add("V", bus.id, t)
-    return reg
-
-
-def build_bounds(s: Scenario, reg: VariableRegistry):
-    """Per-column lower/upper bounds and the integrality mask."""
-    n = len(reg)
-    lower = np.full(n, -np.inf)
-    upper = np.full(n, np.inf)
-    integral = np.zeros(n, dtype=bool)
     steps = s.horizon.steps
     total_pl = sum(br.pl_max for br in s.network.branches)
     total_ql = sum(br.ql_max for br in s.network.branches)
-
-    def setb(key, lo, hi):
-        j = reg[key]
-        lower[j], upper[j] = lo, hi
-
     for t in steps:
-        setb(("P_sub", t), -total_pl, total_pl)
-        setb(("Q_sub", t), -total_ql, total_ql)
-        setb(("r_sub_up", t), 0.0, np.inf)
-        setb(("r_sub_dn", t), 0.0, np.inf)
+        reg.add("P_sub", t, lower=-total_pl, upper=total_pl)
+        reg.add("Q_sub", t, lower=-total_ql, upper=total_ql)
+        reg.add("r_sub_up", t, lower=0.0)
+        reg.add("r_sub_dn", t, lower=0.0)
     for cfg in s.drags:
+        k = cfg.name
         for ti, t in enumerate(steps):
             for a, block in enumerate(cfg.blocks):
-                setb(("P_block", a, t, cfg.name), 0.0, block.p_max)
-            setb(("r_up", t, cfg.name), 0.0, cfg.cap_up_max[ti])
-            setb(("r_dn", t, cfg.name), 0.0, cfg.cap_dn_max[ti])
+                reg.add("P_block", a, t, k, lower=0.0, upper=block.p_max)
+            reg.add("r_up", t, k, lower=0.0, upper=cfg.cap_up_max[ti])
+            reg.add("r_dn", t, k, lower=0.0, upper=cfg.cap_dn_max[ti])
     for cfg in s.esags:
+        k = cfg.name
+        both = cfg.dr_max + cfg.cr_max
         for t in steps:
-            setb(("E", t, cfg.name), cfg.e_min, cfg.e_max)
-            setb(("P_di", t, cfg.name), 0.0, cfg.dr_max)
-            setb(("P_ch", t, cfg.name), 0.0, cfg.cr_max)
-            for fam in ("r_up", "r_dn"):
-                setb((fam, t, cfg.name), 0.0, cfg.dr_max + cfg.cr_max)
-            for fam in ("r_up_di", "r_dn_di"):
-                setb((fam, t, cfg.name), 0.0, cfg.dr_max)
-            for fam in ("r_up_ch", "r_dn_ch"):
-                setb((fam, t, cfg.name), 0.0, cfg.cr_max)
-            j = reg[("b_es", t, cfg.name)]
-            lower[j], upper[j] = 0.0, 1.0
-            integral[j] = True
+            reg.add("P", t, k)                      # net injection, free
+            reg.add("E", t, k, lower=cfg.e_min, upper=cfg.e_max)
+            reg.add("P_di", t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add("P_ch", t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add("r_up", t, k, lower=0.0, upper=both)
+            reg.add("r_dn", t, k, lower=0.0, upper=both)
+            reg.add("r_up_di", t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add("r_dn_di", t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add("r_up_ch", t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add("r_dn_ch", t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add("b_es", t, k, binary=True)
     for cfg in s.evcss:
+        k = cfg.name
         avail = set(cfg.availability)
         for t in steps:
-            if t in avail:
-                setb(("P", t, cfg.name), 0.0, cfg.er_max)
-                setb(("r_up", t, cfg.name), 0.0, cfg.err_max)
-                setb(("r_dn", t, cfg.name), 0.0, cfg.err_max)
-            else:
-                # no EVs present: every column for this hour pinned to zero
-                for fam in ("P", "r_up", "r_dn"):
-                    setb((fam, t, cfg.name), 0.0, 0.0)
-        j = reg[("b_ev", cfg.name)]
-        lower[j], upper[j] = 0.0, 1.0
-        integral[j] = True
+            # no EVs present: every column for this hour pinned to zero
+            on = t in avail
+            reg.add("P", t, k, lower=0.0, upper=cfg.er_max if on else 0.0)
+            reg.add("r_up", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
+            reg.add("r_dn", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
+        reg.add("b_ev", k, binary=True)
     for cfg in s.ddgags:
         for t in steps:
-            setb(("P", t, cfg.name), cfg.p_min, cfg.p_max)
-            setb(("r_up", t, cfg.name), 0.0, cfg.ru)
-            setb(("r_dn", t, cfg.name), 0.0, cfg.rd)
+            reg.add("P", t, cfg.name, lower=cfg.p_min, upper=cfg.p_max)
+            reg.add("r_up", t, cfg.name, lower=0.0, upper=cfg.ru)
+            reg.add("r_dn", t, cfg.name, lower=0.0, upper=cfg.rd)
     for br in s.network.branches:
         for t in steps:
-            setb(("Pl", br.id, t), -br.pl_max, br.pl_max)
-            setb(("Ql", br.id, t), -br.ql_max, br.ql_max)
+            reg.add("Pl", br.id, t, lower=-br.pl_max, upper=br.pl_max)
+            reg.add("Ql", br.id, t, lower=-br.ql_max, upper=br.ql_max)
     for bus in s.network.buses:
         for t in steps:
-            setb(("V", bus.id, t), s.network.v_min, s.network.v_max)
-    return lower, upper, integral
+            reg.add("V", bus.id, t, lower=s.network.v_min,
+                    upper=s.network.v_max)
+    return reg
+
+
+def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
+    """Energy, capacity and mileage price of every column, as the rows of
+    a (3, n) table, signed as in the objective: payments to aggregators
+    enter positively, wholesale income and collections from loads
+    negatively.  The DSO settles every aggregator at its own offer prices,
+    so the objective is the sum of the three rows, and an entity's
+    payments are its columns' prices times their values.
+    """
+    energy, capacity, mileage = prices = np.zeros((3, len(reg)))
+    w, sig = s.wholesale, s.regulation
+    dt = s.horizon.step_hours
+    aggregators = [(kind, cfg, s.offers[cfg.name])
+                   for kind, cfg in s.aggregators()]
+    for ti, t in enumerate(s.horizon.steps):
+        # deployed share of the hour's up and down awards
+        share_up = sig.s_up[ti] * sig.mu_up[ti]
+        share_dn = sig.s_dn[ti] * sig.mu_dn[ti]
+        # the DSO sells energy and regulation to the wholesale market
+        energy[reg[("P_sub", t)]] = -w.energy[ti] * dt
+        up, dn = reg[("r_sub_up", t)], reg[("r_sub_dn", t)]
+        capacity[up] = -w.cap_up[ti]
+        capacity[dn] = -w.cap_dn[ti]
+        mileage[up] = -(share_up * w.mil_up[ti])
+        mileage[dn] = -(share_dn * w.mil_dn[ti])
+        # ... and buys them from the aggregators at their offer prices
+        for kind, cfg, o in aggregators:
+            k = cfg.name
+            if kind == KIND_DRAG:
+                for a, block in enumerate(cfg.blocks):
+                    energy[reg[("P_block", a, t, k)]] = -block.prices[ti] * dt
+            elif kind == KIND_EVCS:
+                energy[reg[("P", t, k)]] = -o.energy[ti] * dt
+            else:
+                energy[reg[("P", t, k)]] = o.energy[ti] * dt
+            up, dn = reg[("r_up", t, k)], reg[("r_dn", t, k)]
+            capacity[up] = o.cap_up[ti]
+            capacity[dn] = o.cap_dn[ti]
+            mileage[up] = share_up * o.mil_up[ti]
+            mileage[dn] = share_dn * o.mil_dn[ti]
+    return prices
 
 
 def build_objective(s: Scenario, reg: VariableRegistry) -> np.ndarray:
-    """Minimization objective: wholesale revenue enters negatively,
-    payments to aggregators positively, collections from loads negatively.
-    """
-    c = np.zeros(len(reg))
-    w, sig = s.wholesale, s.regulation
-    dt = s.horizon.step_hours
-    for ti, t in enumerate(s.horizon.steps):
-        c[reg[("P_sub", t)]] = -w.energy[ti] * dt
-        c[reg[("r_sub_up", t)]] = -(w.cap_up[ti]
-                                    + sig.s_up[ti] * sig.mu_up[ti] * w.mil_up[ti])
-        c[reg[("r_sub_dn", t)]] = -(w.cap_dn[ti]
-                                    + sig.s_dn[ti] * sig.mu_dn[ti] * w.mil_dn[ti])
-        for kind, cfg in s.aggregators():
-            o = s.offers[cfg.name]
-            if kind == KIND_DRAG:
-                for a, block in enumerate(cfg.blocks):
-                    c[reg[("P_block", a, t, cfg.name)]] = -block.prices[ti] * dt
-            elif kind == KIND_EVCS:
-                c[reg[("P", t, cfg.name)]] = -o.energy[ti] * dt
-            else:
-                c[reg[("P", t, cfg.name)]] = o.energy[ti] * dt
-            c[reg[("r_up", t, cfg.name)]] = (
-                o.cap_up[ti] + sig.s_up[ti] * sig.mu_up[ti] * o.mil_up[ti])
-            c[reg[("r_dn", t, cfg.name)]] = (
-                o.cap_dn[ti] + sig.s_dn[ti] * sig.mu_dn[ti] * o.mil_dn[ti])
-    return c
+    """Minimization objective: the settlement prices of each column."""
+    energy, capacity, mileage = settlement_prices(s, reg)
+    return energy + capacity + mileage
 
 
 def add_drag_constraints(s: Scenario, reg: VariableRegistry,
@@ -560,7 +571,7 @@ def build(s: Scenario) -> MilpProblem:
     if not report.ok:
         raise ScenarioValidationError(report)
     reg = build_registry(s)
-    lower, upper, integral = build_bounds(s, reg)
+    lower, upper, integral = reg.bounds()
     rows = Constraints()
     for add_family in (add_drag_constraints, add_esag_constraints,
                        add_evcs_constraints, add_ddgag_constraints,
@@ -593,8 +604,11 @@ def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
     reg = problem.registry
     steps = s.horizon.steps
 
-    def val(*key) -> float:
-        return float(values[reg[tuple(key)]])
+    def series(keys) -> list[float]:
+        return values[reg.columns(keys)].tolist()
+
+    def hourly(keys) -> dict[int, float]:
+        return dict(zip(steps, series(keys)))
 
     energy: dict[str, dict[int, float]] = {}
     cap_up: dict[str, dict[int, float]] = {}
@@ -605,40 +619,41 @@ def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
     for kind, cfg in s.aggregators():
         name = cfg.name
         if kind == KIND_DRAG:
-            energy[name] = {
-                t: sum(val("P_block", a, t, name)
-                       for a in range(len(cfg.blocks)))
-                for t in steps}
+            blocks = [series(("P_block", a, t, name) for t in steps)
+                      for a in range(len(cfg.blocks))]
+            energy[name] = {t: sum(b[ti] for b in blocks)
+                            for ti, t in enumerate(steps)}
         else:
-            energy[name] = {t: val("P", t, name) for t in steps}
-        cap_up[name] = {t: val("r_up", t, name) for t in steps}
-        cap_dn[name] = {t: val("r_dn", t, name) for t in steps}
+            energy[name] = hourly(("P", t, name) for t in steps)
+        cap_up[name] = hourly(("r_up", t, name) for t in steps)
+        cap_dn[name] = hourly(("r_dn", t, name) for t in steps)
         if kind == KIND_ESAG:
-            esag_charge[name] = {t: val("E", t, name) for t in steps}
-            esag_mode[name] = {t: int(round(val("b_es", t, name)))
-                               for t in steps}
+            esag_charge[name] = hourly(("E", t, name) for t in steps)
+            modes = series(("b_es", t, name) for t in steps)
+            esag_mode[name] = {t: int(round(v)) for t, v in zip(steps, modes)}
         elif kind == KIND_EVCS:
-            evcs_enabled[name] = int(round(val("b_ev", name)))
+            evcs_enabled[name] = int(round(float(values[reg[("b_ev", name)]])))
 
     return Schedule(
         steps=steps,
-        p_sub={t: val("P_sub", t) for t in steps},
-        q_sub={t: val("Q_sub", t) for t in steps},
-        r_sub_up={t: val("r_sub_up", t) for t in steps},
-        r_sub_dn={t: val("r_sub_dn", t) for t in steps},
+        p_sub=hourly(("P_sub", t) for t in steps),
+        q_sub=hourly(("Q_sub", t) for t in steps),
+        r_sub_up=hourly(("r_sub_up", t) for t in steps),
+        r_sub_dn=hourly(("r_sub_dn", t) for t in steps),
         energy=energy,
         cap_up=cap_up,
         cap_dn=cap_dn,
         esag_charge=esag_charge,
         esag_mode=esag_mode,
         evcs_enabled=evcs_enabled,
-        flows_p={br.id: {t: val("Pl", br.id, t) for t in steps}
+        flows_p={br.id: hourly(("Pl", br.id, t) for t in steps)
                  for br in s.network.branches},
-        flows_q={br.id: {t: val("Ql", br.id, t) for t in steps}
+        flows_q={br.id: hourly(("Ql", br.id, t) for t in steps)
                  for br in s.network.branches},
-        voltage={bus.id: {t: val("V", bus.id, t) for t in steps}
+        voltage={bus.id: hourly(("V", bus.id, t) for t in steps)
                  for bus in s.network.buses},
         objective=float(problem.objective @ values),
         scenario_hash=scenario_hash(s),
         values=values,
+        registry=reg,
     )

@@ -56,6 +56,28 @@ def rows_by_name(problem):
             for i, name in enumerate(problem.row_names)}
 
 
+def first_energy_rise(cases, target, relative_gap):
+    """First consecutive pair of sweep cases whose offer-weighted energy
+    of the target rises.
+
+    E_i = energy revenue / multiplier is the target's energy weighted by
+    its base offers.  Only the objective depends on the multiplier m, so
+    for optima x_1, x_2 at m_1 < m_2 the two optimality inequalities sum
+    to (m_2 - m_1)(E_2 - E_1) <= eps_1 + eps_2, where eps_i is the
+    branch-and-bound pruning bound relative_gap * max(1, |objective_i|).
+    Returns (prev, case, E_prev, E, allowance) or None.
+    """
+    for prev, case in zip(cases, cases[1:]):
+        e_prev = prev.revenue.entities[target].energy / prev.multiplier
+        e = case.revenue.entities[target].energy / case.multiplier
+        eps = relative_gap * (max(1.0, abs(prev.objective))
+                              + max(1.0, abs(case.objective)))
+        allowance = eps / (case.multiplier - prev.multiplier)
+        if e > e_prev + allowance:
+            return prev, case, e_prev, e, allowance
+    return None
+
+
 def make_scenario(T=2, kinds=("ddgag",), *, wholesale_energy=30.0,
                   cap_price=5.0, offer_energy=20.0, offer_cap=4.0,
                   extra_load_bus=False, p_load=0.0, s_base=1.0,

@@ -29,6 +29,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import first_energy_rise
 from oracles import (
     enumerate_binaries_milp,
     make_problem,
@@ -237,27 +238,6 @@ def sweeps(bundled):
     return esag, ddgag, time.monotonic() - start
 
 
-def _first_energy_rise(cases, relative_gap):
-    """First consecutive pair whose offer-weighted storage energy rises.
-
-    E_i = energy revenue / multiplier is the storage's energy weighted by
-    its base offers.  Only the objective depends on the multiplier m, so
-    for optima x_1, x_2 at m_1 < m_2 the two optimality inequalities sum
-    to (m_2 - m_1)(E_2 - E_1) <= eps_1 + eps_2, where eps_i is the
-    branch-and-bound pruning bound relative_gap * max(1, |objective_i|).
-    Returns (prev, case, E_prev, E, allowance) or None.
-    """
-    for prev, case in zip(cases, cases[1:]):
-        e_prev = prev.revenue.entities["esag-1"].energy / prev.multiplier
-        e = case.revenue.entities["esag-1"].energy / case.multiplier
-        eps = relative_gap * (max(1.0, abs(prev.objective))
-                              + max(1.0, abs(case.objective)))
-        allowance = eps / (case.multiplier - prev.multiplier)
-        if e > e_prev + allowance:
-            return prev, case, e_prev, e, allowance
-    return None
-
-
 def test_criterion_7_storage_sweep_revenue_non_increasing(report, sweeps):
     esag, _, elapsed = sweeps
     assert all(c.status == OPTIMAL for c in esag.cases)
@@ -265,7 +245,7 @@ def test_criterion_7_storage_sweep_revenue_non_increasing(report, sweeps):
     energies = [round(c.revenue.entities["esag-1"].energy / c.multiplier, 1)
                 for c in cases]
     totals = [round(c.revenue.entities["esag-1"].total, 1) for c in cases]
-    rise = _first_energy_rise(cases, SolveOptions().relative_gap)
+    rise = first_energy_rise(cases, "esag-1", SolveOptions().relative_gap)
     ok = rise is None and elapsed < 1800.0
     verdict = "non-increasing" if rise is None else "NOT non-increasing"
     report(7, ok, f"storage offer-weighted energy cases 2-11 {energies} "

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_scenario, rows_by_name
+from conftest import first_energy_rise, make_scenario, rows_by_name
 from dsomarket import analysis
 from dsomarket.analysis import (
     CHUNK_CASES,
@@ -90,6 +90,22 @@ def test_demand_blocks_priced_stepwise():
     assert rev.entities[cfg.name].energy == pytest.approx(-(2 * 30 + 1 * 10))
 
 
+def test_demand_block_settled_at_its_own_price():
+    # only the second block is served: it pays its own 10 $/MWh, not the
+    # first block's 30 $/MWh, and the payments regroup to the objective
+    s = make_scenario(T=1, kinds=("drag",))
+    cfg = s.drags[0]
+    blocks = (DemandBlock(2.0, (30.0,)), DemandBlock(2.0, (10.0,)))
+    s = replace(s, drags=(replace(cfg, blocks=blocks),))
+    problem = build(s)
+    x = np.zeros(problem.num_cols)
+    x[problem.registry[("P_block", 1, 1, cfg.name)]] = 1.5
+    schedule = decode(s, problem, x)
+    rev = compute_revenue(schedule, s)
+    assert rev.entities[cfg.name].energy == pytest.approx(-1.5 * 10)
+    assert regrouping_residual(rev, schedule.objective) <= 1e-9
+
+
 def test_scale_energy_offers_touches_only_target(bundled):
     scaled = scale_energy_offers(bundled, "esag-1", 2.0)
     assert scaled.offers["esag-1"].energy[0] == pytest.approx(
@@ -153,6 +169,18 @@ def test_scaled_case_changes_only_the_objective(bundled, bundled_problem,
     assert problem.objective.tobytes() == objective.tobytes()
     if multiplier != 1.0:
         assert not np.array_equal(objective, base.objective)
+
+
+@pytest.mark.parametrize("target", ["esag-1", "ddgag-1", "drag-1", "evcs-1"])
+def test_sweep_offer_weighted_energy_non_increasing(bundled, target):
+    # criterion 7's property for every bundled target: only the target's
+    # energy prices move with the multiplier, so the energy it is settled
+    # for at its base offers cannot rise beyond the solver-gap allowance
+    result = run_sweep(bundled, target)
+    assert all(c.status == OPTIMAL for c in result.cases)
+    rise = first_energy_rise(result.cases, target,
+                             SolveOptions().relative_gap)
+    assert rise is None, rise
 
 
 def _cold_objectives(scenario, target, cases):

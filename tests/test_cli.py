@@ -1,10 +1,18 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import copy
 import json
+import math
+import os
+import tempfile
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import edit, make_scenario
+from conftest import DELETE, edit, make_scenario
 from dsomarket import cli, solver
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.scenario_io import save_scenario, scenario_to_dict
@@ -163,3 +171,87 @@ def test_sweep_writes_csv(scenario_file, tmp_path, capsys):
 def test_sweep_unknown_target_exits_3(scenario_file, tmp_path, capsys):
     assert cli.main(["sweep", scenario_file, "--target", "nobody",
                      "--out", str(tmp_path / "s")]) == 3
+
+
+BUNDLED_DOC = scenario_to_dict(bundled_case_study())
+WRONG_TYPES = ("x", None, True, [], {}, [None])
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _is_series(node) -> bool:
+    return isinstance(node, list) and all(
+        isinstance(v, (int, float)) for v in node)
+
+
+def _key_paths(node, path=()):
+    """Every key path of a document, parents before their children, but
+    not the elements of a list of numbers."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and not _is_series(node):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _key_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The bundled scenario document with one to three mutations: a wrong
+    type, a non-finite number, a dropped or an extra key or element, or a
+    shortened list."""
+    doc = copy.deepcopy(BUNDLED_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_key_paths(doc))[1:]))
+        series = reduce(getitem, path, doc)
+        if _is_series(series) and series and draw(st.booleans()):
+            path += (draw(st.integers(0, len(series) - 1)),)
+        *head, last = path
+        parent = reduce(getitem, head, doc)
+        value = parent[last]
+        how = draw(st.sampled_from(
+            ("type", "non-finite", "drop", "extra", "shorten")))
+        if how == "type":
+            edit(doc, path, copy.deepcopy(draw(st.sampled_from(WRONG_TYPES))))
+        elif how == "non-finite":
+            edit(doc, path, draw(st.sampled_from(NON_FINITE)))
+        elif how == "drop":
+            edit(doc, path, DELETE)
+        elif how == "extra":
+            if isinstance(value, dict):
+                value["unexpected"] = 1
+            elif isinstance(parent, list):
+                parent.append(copy.deepcopy(value))
+            else:
+                parent["unexpected"] = copy.deepcopy(value)
+        elif isinstance(value, list) and value:
+            edit(doc, path, value[:draw(st.integers(0, len(value) - 1))])
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=mutated_documents())
+def test_solve_survives_mutated_scenarios(doc):
+    # never a traceback, always a documented exit code, and a solve that
+    # exits 0 left a feasible point
+    solved = []
+    real_solve = solver.solve_milp
+
+    def recording_solve(problem, *args, **kwargs):
+        solution = real_solve(problem, *args, **kwargs)
+        solved.append((problem, solution))
+        return solution
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_milp", recording_solve)
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["solve", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        (problem, solution), = solved
+        assert problem.max_residual(solution.values) <= 1e-6

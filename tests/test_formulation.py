@@ -19,9 +19,11 @@ from dsomarket.formulation import (
     VariableRegistry,
     add_network_constraints,
     build,
+    build_objective,
     build_registry,
     decode,
     expected_row_count,
+    settlement_prices,
 )
 from dsomarket.model import InconsistentTopology, ScenarioValidationError
 
@@ -37,6 +39,34 @@ def test_registry_is_bijective_and_ordered():
     assert len(reg) == 2
     with pytest.raises(ValueError):
         reg.add("P", 1)
+
+
+def test_registry_declares_bounds_with_each_column():
+    reg = VariableRegistry()
+    reg.add("free", 1)
+    reg.add("box", 1, lower=0.5, upper=2.0)
+    reg.add("bit", 1, binary=True)
+    lower, upper, integral = reg.bounds()
+    assert lower.tolist() == [-np.inf, 0.5, 0.0]
+    assert upper.tolist() == [np.inf, 2.0, 1.0]
+    assert integral.tolist() == [False, False, True]
+    # the bound arrays are views of the registry: it cannot grow under them
+    with pytest.raises(BufferError):
+        reg.add("late", 1)
+    assert len(reg) == 3 and ("late", 1) not in reg
+
+
+def test_registry_sums_columns_per_owner():
+    # the owner is a key's last part; sums run in column order from 0.0
+    reg = VariableRegistry()
+    for key in (("a", 1, "x"), ("b", 1), ("a", 2, "x"), ("c", 1)):
+        reg.add(*key)
+    table = np.array([[1.0, -0.0, 2.0, -0.0], [0.0, 3.0, 4.0, 5.0]])
+    sums = reg.sum_by_owner(table)
+    assert list(sums) == ["x", 1]
+    assert sums["x"] == [3.0, 4.0]
+    assert sums[1] == [0.0, 8.0]
+    assert str(sums[1][0]) == "0.0"
 
 
 def test_registry_deterministic_across_builds(bundled):
@@ -105,6 +135,22 @@ def test_evcs_columns_pinned_outside_window(bundled, bundled_problem):
             else:
                 assert bundled_problem.lower[j] == 0.0
                 assert bundled_problem.upper[j] == 0.0
+
+
+@pytest.mark.parametrize("kinds", [
+    None, ("ddgag",), ("esag",), ("evcs",), ("drag",),
+    ("drag", "esag", "evcs", "ddgag"),
+])
+def test_objective_sums_settlement_prices(bundled, kinds):
+    # None is the bundled case
+    s = bundled if kinds is None else make_scenario(T=3, kinds=kinds)
+    reg = build_registry(s)
+    energy, capacity, mileage = settlement_prices(s, reg)
+    assert (energy + capacity + mileage).tobytes() == \
+        build_objective(s, reg).tobytes()
+    # energy columns carry no regulation price and regulation columns
+    # no energy price
+    assert not np.any(energy * capacity) and not np.any(energy * mileage)
 
 
 def test_objective_coefficients_spot_checks(bundled, bundled_problem):
