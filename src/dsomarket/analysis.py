@@ -33,7 +33,7 @@ from .model import (
     ScenarioValidationError,
     validate_scenario,
 )
-from .scenario_io import scenario_hash
+from .scenario_io import fmt, scenario_hash
 from .solver import OPTIMAL, HighsLp, SolveOptions, solve_milp
 
 
@@ -63,6 +63,16 @@ class RevenueReport:
     @property
     def dso_total(self) -> float:
         return self.dso_energy + self.dso_capacity + self.dso_mileage
+
+    def rows(self) -> list[str]:
+        """``entity,energy,capacity,mileage,total`` for each entity by name,
+        then for the DSO as ``dso_wholesale``: the rows of revenue.csv and
+        of each sweep.csv case."""
+        parts = [(name, self.entities[name]) for name in sorted(self.entities)]
+        parts.append(("dso_wholesale", EntityRevenue(
+            self.dso_energy, self.dso_capacity, self.dso_mileage)))
+        return [f"{name},{fmt(e.energy)},{fmt(e.capacity)},"
+                f"{fmt(e.mileage)},{fmt(e.total)}" for name, e in parts]
 
 
 def compute_revenue(schedule: Schedule, scenario: Scenario) -> RevenueReport:
@@ -237,24 +247,13 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
 
 def export_sweep(result: SweepResult, path: str) -> None:
     """Write sweep.csv: one row per (case, entity) plus the DSO position."""
-    def fmt(x: float) -> str:
-        return f"{float(x):.10g}"
-
     with open(path, "w", newline="\n") as fh:
         fh.write("i,multiplier,entity,energy_$,capacity_$,mileage_$,"
                  "total_$,status\n")
         for case in result.cases:
+            head = f"{case.index},{fmt(case.multiplier)}"
             if case.revenue is None:
-                fh.write(f"{case.index},{fmt(case.multiplier)},,,,,,"
-                         f"{case.status}\n")
+                fh.write(f"{head},,,,,,{case.status}\n")
                 continue
-            rev = case.revenue
-            for name in sorted(rev.entities):
-                e = rev.entities[name]
-                fh.write(f"{case.index},{fmt(case.multiplier)},{name},"
-                         f"{fmt(e.energy)},{fmt(e.capacity)},"
-                         f"{fmt(e.mileage)},{fmt(e.total)},{case.status}\n")
-            fh.write(f"{case.index},{fmt(case.multiplier)},dso_wholesale,"
-                     f"{fmt(rev.dso_energy)},{fmt(rev.dso_capacity)},"
-                     f"{fmt(rev.dso_mileage)},{fmt(rev.dso_total)},"
-                     f"{case.status}\n")
+            for row in case.revenue.rows():
+                fh.write(f"{head},{row},{case.status}\n")

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import analysis, casestudy, formulation, mps, scenario_io, solver
 
@@ -51,22 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    try:
-        return scenario_io.load_scenario(path), None
-    except (OSError, scenario_io.ParseError, scenario_io.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    except scenario_io.ValidationError as exc:
-        for v in exc.report.violations:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
-        return None, EXIT_INVALID
-
-
 def _cmd_validate(args) -> int:
-    scenario, code = _load(args.scenario)
-    if scenario is None:
-        return code
+    scenario_io.load_scenario(args.scenario)
     print("scenario is valid", file=sys.stderr)
     return EXIT_OK
 
@@ -76,24 +63,14 @@ def _cmd_solve(args) -> int:
         print("error: --gap and --max-nodes must be positive",
               file=sys.stderr)
         return EXIT_IO
-    scenario, code = _load(args.scenario)
-    if scenario is None:
-        return code
+    scenario = scenario_io.load_scenario(args.scenario)
     opts = solver.SolveOptions(relative_gap=args.gap,
                                max_nodes=args.max_nodes)
     problem = formulation.build(scenario)
     if args.mps:
-        try:
-            mps.write_mps(problem, args.mps)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        mps.write_mps(problem, args.mps)
     started = time.monotonic()
-    try:
-        solution = solver.solve_milp(problem, opts)
-    except solver.SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_OPTIMAL
+    solution = solver.solve_milp(problem, opts)
     elapsed = time.monotonic() - started
     print(f"status={solution.status} objective={solution.objective:.6f} "
           f"nodes={solution.nodes_explored} gap={solution.gap:.2e} "
@@ -109,30 +86,19 @@ def _cmd_solve(args) -> int:
         "nodes": solution.nodes_explored,
         "gap": solution.gap,
         "lp_iterations": solution.lp_iterations,
-        "options": {"relative_gap": opts.relative_gap,
-                    "max_nodes": opts.max_nodes,
-                    "integrality_tol": opts.integrality_tol,
-                    "feasibility_tol": opts.feasibility_tol,
-                    "node_order": opts.node_order,
-                    "branch_rule": opts.branch_rule},
+        "options": {**asdict(opts), **solver.SEARCH},
         # wall time is reported on stderr only; files stay byte-reproducible
         "wall_time_s": None,
     }
     bundle = scenario_io.ResultBundle(
         scenario=scenario, schedule=schedule, revenue=revenue, stats=stats,
         input_hash=scenario_io.scenario_hash(scenario))
-    try:
-        scenario_io.export_results(bundle, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    scenario_io.export_results(bundle, args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    scenario, code = _load(args.scenario)
-    if scenario is None:
-        return code
+    scenario = scenario_io.load_scenario(args.scenario)
     try:
         result = analysis.run_sweep(scenario, args.target)
     except KeyError:
@@ -142,12 +108,8 @@ def _cmd_sweep(args) -> int:
     for case in failures:
         print(f"case {case.index}: {case.status}"
               + (f" ({case.error})" if case.error else ""), file=sys.stderr)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        analysis.export_sweep(result, os.path.join(args.out, "sweep.csv"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(args.out, exist_ok=True)
+    analysis.export_sweep(result, os.path.join(args.out, "sweep.csv"))
     return EXIT_NOT_OPTIMAL if failures else EXIT_OK
 
 
@@ -156,12 +118,8 @@ def _cmd_bundled(args) -> int:
     doc = scenario_io.scenario_to_dict(scenario, casestudy.ASSUMPTIONS)
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -175,7 +133,18 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "bundled": _cmd_bundled,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, scenario_io.ParseError, scenario_io.SchemaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except scenario_io.ValidationError as exc:
+        for v in exc.report.violations:
+            print(f"{v.code}: {v.message}", file=sys.stderr)
+        return EXIT_INVALID
+    except solver.SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_OPTIMAL
 
 
 def console_main() -> None:

@@ -324,7 +324,8 @@ class ResultBundle:
     input_hash: str
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A number as every result CSV prints it: 10 significant digits."""
     return f"{float(x):.10g}"
 
 
@@ -342,20 +343,20 @@ def export_results(bundle: ResultBundle, out_dir: str) -> list[str]:
     with open(path, "w", newline="\n") as fh:
         fh.write("t,entity,energy_MW,cap_up_MW,cap_dn_MW,charge_MWh,mode\n")
         for t in sched.steps:
-            fh.write(f"{t},substation,{_fmt(sched.p_sub[t])},"
-                     f"{_fmt(sched.r_sub_up[t])},{_fmt(sched.r_sub_dn[t])},,\n")
+            fh.write(f"{t},substation,{fmt(sched.p_sub[t])},"
+                     f"{fmt(sched.r_sub_up[t])},{fmt(sched.r_sub_dn[t])},,\n")
         for kind, cfg in s.aggregators():
             name = cfg.name
             for t in sched.steps:
                 charge = mode = ""
                 if name in sched.esag_charge:
-                    charge = _fmt(sched.esag_charge[name][t])
+                    charge = fmt(sched.esag_charge[name][t])
                     mode = str(sched.esag_mode[name][t])
                 elif name in sched.evcs_enabled:
                     mode = str(sched.evcs_enabled[name])
-                fh.write(f"{t},{name},{_fmt(sched.energy[name][t])},"
-                         f"{_fmt(sched.cap_up[name][t])},"
-                         f"{_fmt(sched.cap_dn[name][t])},{charge},{mode}\n")
+                fh.write(f"{t},{name},{fmt(sched.energy[name][t])},"
+                         f"{fmt(sched.cap_up[name][t])},"
+                         f"{fmt(sched.cap_dn[name][t])},{charge},{mode}\n")
     written.append(path)
 
     path = os.path.join(out_dir, "network.csv")
@@ -363,25 +364,19 @@ def export_results(bundle: ResultBundle, out_dir: str) -> list[str]:
         fh.write("t,element,id,pl_MW,ql_MVAr,v_pu\n")
         for br in s.network.branches:
             for t in sched.steps:
-                fh.write(f"{t},branch,{br.id},{_fmt(sched.flows_p[br.id][t])},"
-                         f"{_fmt(sched.flows_q[br.id][t])},\n")
+                fh.write(f"{t},branch,{br.id},{fmt(sched.flows_p[br.id][t])},"
+                         f"{fmt(sched.flows_q[br.id][t])},\n")
         for bus in s.network.buses:
             for t in sched.steps:
                 fh.write(f"{t},bus,{bus.id},,,"
-                         f"{_fmt(sched.voltage[bus.id][t])}\n")
+                         f"{fmt(sched.voltage[bus.id][t])}\n")
     written.append(path)
 
     path = os.path.join(out_dir, "revenue.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("entity,energy_$,capacity_$,mileage_$,total_$\n")
-        rev = bundle.revenue
-        for name in sorted(rev.entities):
-            e = rev.entities[name]
-            fh.write(f"{name},{_fmt(e.energy)},{_fmt(e.capacity)},"
-                     f"{_fmt(e.mileage)},{_fmt(e.total)}\n")
-        fh.write(f"dso_wholesale,{_fmt(rev.dso_energy)},"
-                 f"{_fmt(rev.dso_capacity)},{_fmt(rev.dso_mileage)},"
-                 f"{_fmt(rev.dso_total)}\n")
+        for row in bundle.revenue.rows():
+            fh.write(f"{row}\n")
     written.append(path)
 
     path = os.path.join(out_dir, "solve.json")

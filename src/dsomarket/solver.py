@@ -11,16 +11,16 @@ Problems that differ only in their objective, such as the cases of a price
 sweep, can share one model (only the changed costs are sent) and seed each
 search with the previous optimum.
 
-The branch-and-bound search on top is our own: best-first node order with
-insertion-order tie-breaking, branching on the most fractional binary with
-lowest-index tie-breaking.
+The branch-and-bound search on top is our own and has one form,
+``SEARCH``: best-first node order with insertion-order tie-breaking,
+branching on the most fractional binary with lowest-index tie-breaking.
 """
 
 from __future__ import annotations
 
 import heapq
 import importlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +30,9 @@ INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NODE_LIMIT = "NodeLimit"
+
+# the search solve_milp runs, as solve.json records it
+SEARCH = {"node_order": "best-first", "branch_rule": "most-fractional"}
 
 
 class SolverError(RuntimeError):
@@ -42,17 +45,11 @@ class SolveOptions:
     integrality_tol: float = 1e-6
     relative_gap: float = 1e-6
     max_nodes: int = 100_000
-    node_order: str = "best-first"          # or "depth-first"
-    branch_rule: str = "most-fractional"    # or "first-fractional"
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.integrality_tol <= 0 \
                 or self.relative_gap <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.node_order not in ("best-first", "depth-first"):
-            raise ValueError(f"unknown node order {self.node_order!r}")
-        if self.branch_rule not in ("most-fractional", "first-fractional"):
-            raise ValueError(f"unknown branch rule {self.branch_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,6 @@ class MilpSolution:
     nodes_explored: int
     gap: float
     lp_iterations: int
-
-
-@dataclass(frozen=True)
-class BnbNode:
-    """Bound overrides relative to the root problem, plus the parent bound."""
-
-    overrides: tuple[tuple[int, float, float], ...]
-    bound: float
-    depth: int
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -308,14 +296,6 @@ def _check_binary_mask(problem) -> np.ndarray:
     return int_cols
 
 
-def _pick_branch_column(frac_cols, fractions, rule: str) -> int:
-    if rule == "first-fractional":
-        return int(frac_cols[0])
-    # most fractional: largest distance from integrality, lowest index wins ties
-    dist = np.minimum(fractions, 1.0 - fractions)
-    return int(frac_cols[int(np.argmax(dist))])
-
-
 def _check_start(problem, start, int_cols, opts: SolveOptions) -> np.ndarray:
     """``start`` as a float vector; ValueError unless it is a point of the
     problem: integral on the binary columns and within ``feasibility_tol``
@@ -366,60 +346,40 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     elif model.loaded:
         model.change_costs(c)
 
-    def lp(overrides) -> LpResult:
+    def lp(fixes) -> LpResult:
         lower = base_lower
         upper = base_upper
-        if overrides:
+        if fixes:
             lower = base_lower.copy()
             upper = base_upper.copy()
-            for j, lo, hi in overrides:
-                lower[j], upper[j] = lo, hi
+            for j, value in fixes:
+                lower[j] = upper[j] = value
         return solve_lp(LpStandardForm(c, A_ub, b_ub, A_eq, b_eq,
                                        lower, upper), opts, model)
 
     nodes = 0
     lp_iterations = 0
     counter = 0
-    root = BnbNode(overrides=(), bound=-np.inf, depth=0)
-    heap: list = [(root.bound, counter, root)]
-    root_status: str | None = None
+    # (parent bound, insertion order, depth, binaries fixed as (column, value))
+    heap: list = [(-np.inf, counter, 0, ())]
     pruned_bound = np.inf    # tightest bound among nodes pruned at the cutoff
 
     def cutoff() -> float:
         return inc_obj - opts.relative_gap * max(1.0, abs(inc_obj))
 
-    def rounding_dive(x: np.ndarray, overrides) -> LpResult:
-        """Fix every binary at its rounded relaxation value and re-solve.
-
-        Cheap deterministic incumbent heuristic; on problems whose
-        relaxation optimum survives rounding it closes the gap at the root
-        instead of crawling a plateau of tied bounds.
-        """
-        rounded = np.floor(x[int_cols] + 0.5)
-        fixes = tuple((int(j), float(v), float(v))
-                      for j, v in zip(int_cols, rounded))
-        return lp(overrides + fixes)
-
     while heap and nodes < opts.max_nodes:
-        if opts.node_order == "best-first":
-            bound, _, node = heapq.heappop(heap)
-        else:
-            bound, _, node = heap.pop()
+        bound, _, depth, fixes = heapq.heappop(heap)
         if bound >= cutoff():
             pruned_bound = min(pruned_bound, bound)
-            if opts.node_order == "best-first":
-                # heap is ordered; every remaining node is at least as bad
-                heap.clear()
-                break
-            continue
-        result = lp(node.overrides)
+            # heap is ordered; every remaining node is at least as bad
+            heap.clear()
+            break
+        result = lp(fixes)
         nodes += 1
         lp_iterations += result.iterations
-        if node.depth == 0:
-            root_status = result.status
         if result.status == INFEASIBLE:
             if trace is not None:
-                trace.append((node.depth, node.bound, np.inf, inc_obj))
+                trace.append((depth, bound, np.inf, inc_obj))
             continue
         if result.status == UNBOUNDED:
             return MilpSolution(UNBOUNDED, None, -np.inf, nodes, np.inf,
@@ -428,7 +388,7 @@ def solve_milp(problem, opts: SolveOptions | None = None,
             raise SolverError(f"relaxation returned {result.status}")
         obj = result.objective
         if trace is not None:
-            trace.append((node.depth, node.bound, obj, inc_obj))
+            trace.append((depth, bound, obj, inc_obj))
         if obj >= cutoff():
             pruned_bound = min(pruned_bound, obj)
             continue
@@ -440,8 +400,13 @@ def solve_milp(problem, opts: SolveOptions | None = None,
                 inc_obj = obj
                 incumbent = x
             continue
-        if node.depth == 0 or (incumbent is None and nodes % 50 == 0):
-            dive = rounding_dive(x, node.overrides)
+        if depth == 0 or (incumbent is None and nodes % 50 == 0):
+            # rounding dive: fix every binary at its rounded value and
+            # re-solve; on problems whose relaxation optimum survives
+            # rounding it closes the gap at the root instead of crawling a
+            # plateau of tied bounds
+            rounded = np.floor(x[int_cols] + 0.5)
+            dive = lp(fixes + tuple(zip(int_cols.tolist(), rounded.tolist())))
             lp_iterations += dive.iterations
             if dive.status == OPTIMAL and dive.objective < inc_obj:
                 inc_obj = dive.objective
@@ -449,27 +414,20 @@ def solve_milp(problem, opts: SolveOptions | None = None,
                 if obj >= cutoff():
                     pruned_bound = min(pruned_bound, obj)
                     continue
+        # most fractional binary: farthest from integrality, lowest index
+        # wins ties
         frac_cols = int_cols[fractional]
         fractions = x[frac_cols] - np.floor(x[frac_cols])
-        j = _pick_branch_column(frac_cols, fractions, opts.branch_rule)
-        for fixed in (1.0, 0.0) if opts.node_order == "depth-first" else (0.0, 1.0):
+        dist = np.minimum(fractions, 1.0 - fractions)
+        j = int(frac_cols[int(np.argmax(dist))])
+        for value in (0.0, 1.0):
             counter += 1
-            child = BnbNode(overrides=node.overrides + ((j, fixed, fixed),),
-                            bound=obj, depth=node.depth + 1)
-            heap_item = (child.bound, counter, child)
-            if opts.node_order == "best-first":
-                heapq.heappush(heap, heap_item)
-            else:
-                heap.append(heap_item)
+            heapq.heappush(heap, (obj, counter, depth + 1,
+                                  fixes + ((j, value),)))
 
     if incumbent is None:
-        if heap and nodes >= opts.max_nodes:
-            return MilpSolution(NODE_LIMIT, None, np.inf, nodes, np.inf,
-                                lp_iterations)
-        if root_status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, -np.inf, nodes, np.inf,
-                                lp_iterations)
-        return MilpSolution(INFEASIBLE, None, np.inf, nodes, np.inf,
+        status = NODE_LIMIT if heap and nodes >= opts.max_nodes else INFEASIBLE
+        return MilpSolution(status, None, np.inf, nodes, np.inf,
                             lp_iterations)
 
     candidates = [item[0] for item in heap] + [pruned_bound, inc_obj]

@@ -127,6 +127,11 @@ def test_solve_writes_result_files(scenario_file, tmp_path, capsys):
     stats = json.loads((out / "solve.json").read_text())
     assert stats["wall_time_s"] is None
     assert stats["gap"] <= 1e-6
+    # the four SolveOptions values and the one search solve_milp runs
+    assert stats["options"] == {
+        "relative_gap": 1e-6, "max_nodes": 100_000, "integrality_tol": 1e-6,
+        "feasibility_tol": 1e-7, "node_order": "best-first",
+        "branch_rule": "most-fractional"}
 
 
 def test_solve_rejects_bad_gap(scenario_file, tmp_path, capsys):
@@ -171,6 +176,27 @@ def test_sweep_writes_csv(scenario_file, tmp_path, capsys):
 def test_sweep_unknown_target_exits_3(scenario_file, tmp_path, capsys):
     assert cli.main(["sweep", scenario_file, "--target", "nobody",
                      "--out", str(tmp_path / "s")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "results", "--mps", "missing/case.mps"],
+    ["solve", "--out", "taken"],
+    ["sweep", "--target", "ddgag-x", "--out", "taken"],
+    ["bundled", "--out", "missing/case.json"],
+], ids=["solve --mps", "solve --out", "sweep --out", "bundled --out"])
+def test_unwritable_output_exits_3(scenario_file, tmp_path, monkeypatch,
+                                   capsys, argv):
+    # "missing" is a directory that does not exist, "taken" a file where
+    # an output directory should go
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    if argv[0] != "bundled":
+        argv = argv[:1] + [scenario_file] + argv[1:]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines()
+                if line.startswith("error: ")]) == 1
+    assert "Traceback" not in err
 
 
 BUNDLED_DOC = scenario_to_dict(bundled_case_study())

@@ -43,10 +43,6 @@ from dsomarket.solver import (
 def test_options_reject_bad_values():
     with pytest.raises(ValueError):
         SolveOptions(relative_gap=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(node_order="breadth-first")
-    with pytest.raises(ValueError):
-        SolveOptions(branch_rule="pseudo-cost")
 
 
 def test_lp_known_optimum():
@@ -166,21 +162,44 @@ def test_trace_child_bounds_inherit_parent_objective():
             assert lp_obj >= parent_bound - 1e-7
 
 
-@pytest.mark.parametrize("node_order,branch_rule", [
-    ("best-first", "most-fractional"),
-    ("best-first", "first-fractional"),
-    ("depth-first", "most-fractional"),
-    ("depth-first", "first-fractional"),
-])
-def test_search_options_agree_on_random_instances(node_order, branch_rule):
-    rng = np.random.default_rng(7)
-    opts = SolveOptions(node_order=node_order, branch_rule=branch_rule)
+def _problems(source):
+    if source == "random":
+        rng = np.random.default_rng(7)
+        for _ in range(15):
+            c, A, b, lower, upper, integrality = random_milp(
+                rng, max_binaries=6, max_continuous=8)
+            yield make_problem(c, A, [LE] * len(b), b, lower, upper,
+                               integrality)
+    else:
+        yield build(bundled_case_study() if source == "bundled"
+                    else _ladder_rung_2())
+
+
+@pytest.mark.parametrize("source", ["bundled", "ladder rung 2", "random"])
+def test_nodes_explored_best_first(source):
+    # the search pops the open node of least parent bound, so the parent
+    # bounds of the explored nodes never fall, up to the rounding of the
+    # warm-started node LPs
+    branched = 0
+    for problem in _problems(source):
+        trace = []
+        solve_milp(problem, trace=trace)
+        bounds = [parent_bound for _, parent_bound, _, _ in trace]
+        for earlier, later in zip(bounds, bounds[1:]):
+            assert later >= earlier - 1e-9 * max(1.0, abs(earlier))
+        branched += len(bounds) > 1
+    assert branched, "no problem branched, so no order was checked"
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_search_options_agree_on_random_instances(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(15):
         c, A, b, lower, upper, integrality = random_milp(
             rng, max_binaries=6, max_continuous=8)
         problem = make_problem(c, A, [LE] * len(b), b, lower, upper,
                                integrality)
-        sol = solve_milp(problem, opts)
+        sol = solve_milp(problem)
         assert sol.status == OPTIMAL
         oracle = enumerate_binaries_milp(
             c, A, b, lower, upper, np.flatnonzero(integrality))

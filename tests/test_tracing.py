@@ -33,3 +33,7 @@ def test_tracer_installs_and_uninstalls():
             "formulation.relaxation_arrays", "solver.solve_milp",
             "formulation.decode", "analysis.compute_revenue",
             "scenario_io.scenario_hash"} <= names
+    # the counters the tracer reads from solve_milp's trace tuples
+    count = tracer.counters
+    assert count["solver.nodes"] > 0 and count["solver.lp_iterations"] > 0
+    assert count["solver.nodes_to_first_incumbent"] <= count["solver.nodes"]
