@@ -3,76 +3,106 @@
 Naming scheme (deterministic): the objective row is ``COST``, constraint
 rows are ``R`` followed by the 7-digit row index in build order, and
 columns are ``C`` followed by the 7-digit column index in registry order.
-Binary columns are wrapped in ``INTORG``/``INTEND`` markers.
+Binary columns are wrapped in ``INTORG``/``INTEND`` markers.  Every column
+appears in COLUMNS: one with no cost and no matrix entry gets ``COST 0``,
+because readers drop or reorder a column they never see.
+
+Each section is an array of tokens joined at once, each distinct number is
+formatted once, and ``write_mps`` streams COLUMNS in ``BLOCK``-column chunks.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
+
+import numpy as np
 
 from .formulation import EQ, GE, LE, MilpProblem
 
-_SENSE = {LE: "L", GE: "G", EQ: "E"}
-
-
-def _num(x: float) -> str:
-    return f"{x:.12g}"
+_SENSE = {LE: " L  ", GE: " G  ", EQ: " E  "}
+_BOUND = np.array([f" {k} BND         " for k in ("FR", "MI", "LO", "UP")],
+                  dtype=object)
+BLOCK = 1024    # columns per COLUMNS chunk
 
 
 def write_mps(problem: MilpProblem, path: str, name: str = "DSOMILP") -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(format_mps(problem, name))
+        fh.writelines(_chunks(problem, name))
 
 
 def format_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
-    rows = [f"R{i:07d}" for i in range(len(problem.row_names))]
-    lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    lines += [f" {_SENSE[s]}  {r}" for s, r in zip(problem.sense, rows)]
+    return "".join(_chunks(problem, name))
 
-    # each column's entries: objective first, then its rows in build order
+
+def _join(*fields) -> str:
+    """Lines whose k-th token is ``fields[k]``: per line, or one string."""
+    size = next(len(f) for f in fields if not isinstance(f, str))
+    tokens = np.empty((size, len(fields)), dtype=object)
+    for k, field in enumerate(fields):
+        tokens[:, k] = field
+    return "".join(tokens.ravel().tolist())
+
+
+def _texts(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The ``"  %15.12g"`` text of every number in ``arrays``, split like
+    them; each distinct bit pattern is formatted once (-0.0 stays "-0")."""
+    numbers = np.concatenate(arrays).astype(np.float64)
+    bits, inverse = np.unique(numbers.view(np.int64), return_inverse=True)
+    text = np.array([f"  {x:>15.12g}" for x in bits.view(np.float64)], object)
+    return np.split(text[inverse], np.cumsum([len(a) for a in arrays[:-1]]))
+
+
+def _marker(k: int) -> str:
+    """Marker ``k``: integer runs open at even ``k`` and close at odd."""
+    kind = "'INTEND'" if k % 2 else "'INTORG'"
+    return f"    MARKER{k:04d}  'MARKER'                 {kind}\n"
+
+
+def _chunks(problem: MilpProblem, name: str) -> Iterator[str]:
+    m, n = problem.A.shape
+    rows = np.array([f"R{i:07d}" for i in range(m)] + ["COST    "], object)
+    cols = np.array([f"C{j:07d}" for j in range(n)], object)
+    yield f"NAME          {name}\nROWS\n N  COST\n"
+    yield _join([_SENSE[s] for s in problem.sense.tolist()], rows[:m], "\n")
+
+    # per column: the objective if nonzero or alone, then the matrix entries
     A = problem.A.tocsc()
-    entries = [f"{rows[i]:<10}{_num(coef):>15}"
-               for i, coef in zip(A.indices.tolist(), A.data.tolist())]
-    starts = A.indptr.tolist()
-    lines.append("COLUMNS")
-    in_integer = False
-    marker = 0
-    for j, (cost, integral) in enumerate(zip(problem.objective.tolist(),
-                                             problem.integrality.tolist())):
-        if integral != in_integer:
-            kind = "'INTORG'" if integral else "'INTEND'"
-            lines.append(f"    MARKER{marker:04d}  'MARKER'                 "
-                         + kind)
-            marker += 1
-            in_integer = integral
-        col = f"C{j:07d}"
-        fields = entries[starts[j]:starts[j + 1]]
-        if cost != 0.0:
-            fields.insert(0, f"{'COST':<10}{_num(cost):>15}")
-        for a in range(0, len(fields), 2):
-            lines.append("  ".join([f"    {col:<10}", *fields[a:a + 2]]))
-    if in_integer:
-        lines.append(f"    MARKER{marker:04d}  'MARKER'                 "
-                     "'INTEND'")
+    nnz = np.diff(A.indptr)
+    lo, hi = problem.lower, problem.upper
+    num_cost, num_a, num_rhs, num_lo, num_hi = _texts(
+        problem.objective, A.data, problem.rhs, lo, hi)
+    costed = (problem.objective != 0.0) | (nnz == 0)
+    start = np.concatenate(([0], np.cumsum(nnz + costed)))
+    col = np.repeat(np.arange(n), nnz + costed)
+    pos = np.arange(start[-1]) - start[col]
+    in_matrix = pos >= costed[col]
+    row = np.full(start[-1], m)
+    row[in_matrix] = A.indices
+    num = num_cost[col]
+    num[in_matrix] = num_a
 
-    lines.append("RHS")
-    lines += [f"    RHS         {r}  {_num(b):>15}"
-              for r, b in zip(rows, problem.rhs.tolist()) if b != 0.0]
+    # two entries a line; a MARKER line precedes each integrality flip
+    lead = np.where(pos % 2 == 0, ("    " + cols + "    ")[col], "  ")
+    tail = np.full(start[-1], "", dtype=object)
+    tail[(pos % 2 == 1) | (pos + 1 == (nnz + costed)[col])] = "\n"
+    flips = np.flatnonzero(np.diff(problem.integrality, prepend=False))
+    marks = np.array([_marker(k) for k in range(len(flips))], object)
+    lead[start[flips]] = marks + lead[start[flips]]
+    yield "COLUMNS\n"
+    for j0 in range(0, n, BLOCK):
+        e = slice(start[j0], start[min(j0 + BLOCK, n)])
+        yield _join(lead[e], rows[row[e]], num[e], tail[e])
+    if len(flips) % 2:    # the last column is integral
+        yield _marker(len(flips))
 
-    lines.append("BOUNDS")
-    for j in range(problem.num_cols):
-        lo, hi = float(problem.lower[j]), float(problem.upper[j])
-        col = f"C{j:07d}"
-        lo_fin, hi_fin = math.isfinite(lo), math.isfinite(hi)
-        if not lo_fin and not hi_fin:
-            lines.append(f" FR BND         {col}")
-            continue
-        if not lo_fin:
-            lines.append(f" MI BND         {col}")
-        elif lo != 0.0:
-            lines.append(f" LO BND         {col}  {_num(lo):>15}")
-        if hi_fin:
-            lines.append(f" UP BND         {col}  {_num(hi):>15}")
-    # the empty last item ends the text in a newline without a second copy
-    lines += ["ENDATA", ""]
-    return "\n".join(lines)
+    nz = np.flatnonzero(problem.rhs != 0.0)
+    yield "RHS\n" + _join("    RHS         ", rows[nz], num_rhs[nz], "\n")
+
+    # per column: FR, MI or LO (a nonzero finite lower bound), then UP
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    keep = np.column_stack([~lo_fin | (lo != 0.0), hi_fin]).ravel()
+    kind = np.column_stack([np.where(lo_fin, 2, hi_fin), np.full(n, 3)])
+    bound = np.column_stack([np.where(lo_fin, num_lo, ""), num_hi])
+    yield "BOUNDS\n" + _join(_BOUND[kind.ravel()[keep]], cols.repeat(2)[keep],
+                             bound.ravel()[keep], "\n")
+    yield "ENDATA\n"
