@@ -1,14 +1,14 @@
 """Post-solve economics: revenue decomposition and the price sweep.
 
 Revenue is read off the objective's own price table,
-:func:`~dsomarket.formulation.settlement_prices`: each column's energy,
-capacity and mileage prices times its value, summed over the columns an
-entity owns.  Generation-side aggregators earn their energy offer price on
-scheduled injections, load-side aggregators' energy purchases (each DRAG
-block at its own bid price) are reported as negative income, and every
-aggregator earns capacity and mileage payments on its regulation awards.
-The DSO wholesale position is the negated payments of the substation
-columns, so it is reported with income positive.
+:func:`~dsomarket.formulation.settlement_prices`, which the schedule
+carries: each column's energy, capacity and mileage prices times its value,
+summed over the columns an entity owns.  Generation-side aggregators earn
+their energy offer price on scheduled injections, load-side aggregators'
+energy purchases (each DRAG block at its own bid price) are reported as
+negative income, and every aggregator earns capacity and mileage payments
+on its regulation awards; the DSO wholesale position is the negated
+payments of its substation columns, reported with income positive.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .formulation import (
     MilpProblem,
     Schedule,
     build,
-    build_objective,
     decode,
     settlement_prices,
 )
@@ -78,12 +77,13 @@ class RevenueReport:
 def compute_revenue(schedule: Schedule, scenario: Scenario) -> RevenueReport:
     """Decompose the schedule's payments per entity.
 
-    The schedule records the hash of the scenario it was decoded from;
+    The schedule records the scenario it was decoded from and its hash;
     pairing it with any other scenario raises :class:`StaleSchedule`.
     """
-    if schedule.scenario_hash != scenario_hash(scenario):
+    if (scenario is not schedule.scenario
+            and schedule.scenario_hash != scenario_hash(scenario)):
         raise StaleSchedule("schedule does not belong to this scenario")
-    paid = settlement_prices(scenario, schedule.registry) * schedule.values
+    paid = schedule.prices * schedule.values
     # (energy, capacity, mileage) paid to each aggregator and, per hour, by
     # the DSO's columns; the DSO's position is what it is paid, so negated
     totals = schedule.registry.sum_by_owner(paid)
@@ -162,13 +162,15 @@ class _WarmStart:
 
 def _case_problem(case: Scenario, base: MilpProblem | None) -> MilpProblem:
     """Build the case, or, given the base problem of another case of the
-    same sweep, reuse its constraints with this case's objective."""
+    same sweep, reuse its constraints with this case's prices."""
     if base is None:
         return build(case)
     report = validate_scenario(case)
     if not report.ok:
         raise ScenarioValidationError(report)
-    problem = replace(base, objective=build_objective(case, base.registry))
+    energy, capacity, mileage = prices = settlement_prices(case, base.registry)
+    problem = replace(base, objective=energy + capacity + mileage,
+                      prices=prices)
     # share the assembled matrix too: the HiGHS model holds these arrays
     vars(problem)["relaxation_arrays"] = base.relaxation_arrays
     return problem
@@ -214,9 +216,10 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     feasible set is the same in every case.  The cases are solved in
     chunks of ``CHUNK_CASES`` consecutive indices.  A chunk builds its
     first case once; each later case reuses those constraints with its own
-    objective, re-solves on the same HiGHS model from the basis the last
+    price table, re-solves on the same HiGHS model from the basis the last
     case left, and seeds its incumbent with the last case's optimum, which
-    is feasible by construction.  A case that fails or ends non-optimal
+    is feasible by construction.  A case's price table gives both its
+    objective and its revenue.  A case that fails or ends non-optimal
     makes the next one start cold.  Chunks run in parallel on ``threads``
     workers (default ``DSO_THREADS``, else the CPU count), but their
     boundaries depend only on ``cases``, so every case starts from the

@@ -5,11 +5,16 @@ integrality), the settlement price table whose sum is the objective, and
 all constraint families for the DSO coordination problem: demand response
 blocks, storage charge dynamics with mode binaries, EV charging windows
 with an enable binary, dispatchable generation limits, linearized radial
-power flow, and the substation-level aggregation identities.  The compiled
-:class:`MilpProblem` holds the constraints as one sparse matrix ``A`` (CSR,
-rows in build order) with a ``sense``, ``rhs`` and name per row; the LP
-relaxation, the residual checks and the MPS export all read that matrix.
-Also decodes raw solver vectors back into a :class:`Schedule`.
+power flow, and the substation-level aggregation identities.  The build
+works in blocks: each entity declares its columns as one (hours x
+families) block, each constraint family emits one kind of row for every
+entity and hour at once as (row, column, coefficient) arrays, and the
+price table is filled by fancy indexing over the same column arrays.  The
+compiled :class:`MilpProblem` holds the constraints as one sparse matrix
+``A`` (CSR, rows in build order) with a ``sense``, ``rhs`` and name per
+row; the LP relaxation, the residual checks and the MPS export all read
+that matrix.  Also decodes raw solver vectors back into a
+:class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .model import (
+    KIND_DDGAG,
     KIND_DRAG,
     KIND_ESAG,
     KIND_EVCS,
@@ -34,6 +40,15 @@ from .scenario_io import scenario_hash
 LE, GE, EQ = "<=", ">=", "=="
 
 VarKey = tuple
+
+# a storage's columns per hour, and the heads of its 16 rows per hour
+ESAG_COLUMNS = ("P", "E", "P_di", "P_ch", "r_up", "r_dn", "r_up_di",
+                "r_dn_di", "r_up_ch", "r_dn_ch", "b_es")
+ESAG_ROWS = ("state[", "split[", "cap_up[", "cap_dn[",
+             *(f"gate_{side}[{fam}_{side}," for side in ("di", "ch")
+               for fam in ("P", "r_up", "r_dn")),
+             "gate_di_merged[", "gate_ch_merged[", "di_floor[", "di_ceiling[",
+             "ch_floor[", "ch_ceiling[")
 
 
 class DimensionMismatch(ValueError):
@@ -49,38 +64,62 @@ class VariableRegistry:
     with each column's bounds and integrality.
 
     A key's last part names the column's owner: an aggregator's name, or
-    the hour of a DSO (substation or network) column.
+    the hour of a DSO (substation or network) column.  A block declared by
+    :meth:`declare` also keeps each family's column per hour, under the
+    family's key without the hour (:meth:`hourly`).
     """
 
     def __init__(self) -> None:
         self._index: dict[VarKey, int] = {}
         self._keys: list[VarKey] = []
+        self._series: dict[VarKey, np.ndarray] = {}
         # packed, so that the problem's bound arrays can be views of them
         self._lower = array("d")
         self._upper = array("d")
         self._binary = array("b")
 
+    def declare(self, steps, heads, owner: tuple = (), lower=-np.inf,
+                upper=np.inf, binary=False) -> np.ndarray:
+        """Declare the column ``head + (t,) + owner`` of every hour t and
+        every head, hour by hour.  The bounds and the integrality mask
+        (give an integral column the bounds 0 and 1) broadcast to (hours,
+        heads); returns the block's column indices in that shape."""
+        shape = (len(steps), len(heads))
+        if len(set(steps)) < shape[0] or len(set(heads)) < shape[1]:
+            raise ValueError(f"duplicate hours or families in {heads}")
+        bounds = np.empty((3,) + shape)
+        bounds[0], bounds[1], bounds[2] = lower, upper, binary
+        block = self._append([(*head, t, *owner) for t in steps
+                              for head in heads], *bounds).reshape(shape)
+        for head, cols in zip(heads, block.T):
+            self._series[head + owner] = cols
+        return block
+
     def add(self, *key, lower: float = -np.inf, upper: float = np.inf,
             binary: bool = False) -> int:
         """Declare the next column; a binary one is integral on [0, 1]."""
-        if key in self._index:
-            raise ValueError(f"duplicate variable {key}")
-        if binary:
-            lower, upper = 0.0, 1.0
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._binary.append(binary)
-        idx = len(self._keys)
-        self._index[key] = idx
-        self._keys.append(key)
-        return idx
+        bounds = [[0.0], [1.0], [1]] if binary else [[lower], [upper], [0]]
+        return int(self._append([key], *np.array(bounds, dtype=float))[0])
+
+    def _append(self, keys, lower, upper, binary) -> np.ndarray:
+        start = len(self._keys)
+        if not self._index.keys().isdisjoint(keys):
+            raise ValueError(f"duplicate variable among {keys}")
+        # the bounds first: they cannot grow while views of them are alive
+        self._lower.frombytes(lower.tobytes())
+        self._upper.frombytes(upper.tobytes())
+        self._binary.frombytes(binary.astype(bool).tobytes())
+        self._index.update(zip(keys, range(start, start + len(keys))))
+        self._keys += keys
+        return np.arange(start, len(self._keys))
 
     def __getitem__(self, key: VarKey) -> int:
         return self._index[key]
 
-    def columns(self, keys) -> list[int]:
-        """Column index of each key."""
-        return list(map(self._index.__getitem__, keys))
+    def hourly(self, keys) -> np.ndarray:
+        """Columns of the families ``keys`` (keys less the hour), by hour."""
+        return np.array([self._series[key] for key in keys],
+                        dtype=np.intp).ravel()
 
     def __contains__(self, key: VarKey) -> bool:
         return key in self._index
@@ -123,24 +162,44 @@ class VariableRegistry:
 
 
 class Constraints:
-    """Constraint rows in build order, collected as COO entries."""
+    """Constraint rows in build order.  A family names its rows with
+    :meth:`reserve`, then sets one kind of row for every entity and hour at
+    once with :meth:`add`; the entries are kept as COO arrays."""
 
     def __init__(self) -> None:
         self.names: list[str] = []
-        self.senses: list[str] = []
-        self.rhs: list[float] = []
-        self.row: list[int] = []
-        self.col: list[int] = []
-        self.coef: list[float] = []
+        self._sides: list[tuple] = []        # (rows, sense, rhs)
+        self._entries: list[tuple] = []      # (rows, cols, coefs)
 
-    def add(self, name: str, cols, coefs, sense: str, rhs: float) -> None:
-        """Append the row ``coefs @ x[cols]  (sense)  rhs``."""
-        self.row.extend([len(self.names)] * len(cols))
-        self.col.extend(cols)
-        self.coef.extend(coefs)
-        self.names.append(name)
-        self.senses.append(sense)
-        self.rhs.append(rhs)
+    def reserve(self, names: list[str], group: int = 1) -> np.ndarray:
+        """Append the rows ``names``; returns each ``group``'s first row."""
+        first = len(self.names)
+        self.names += names
+        return np.arange(first, len(self.names), group)
+
+    def add(self, at, sense: str, rhs, *terms) -> None:
+        """Rows ``at`` read ``sum(coefs * x[cols] over terms)  (sense)
+        rhs``, with ``rhs`` one number or one per row."""
+        self._sides.append((at, sense, rhs))
+        self.put(at, *terms)
+
+    def put(self, at, *terms) -> None:
+        """Enter each (cols, coefs) term into rows ``at``; rows, columns
+        and coefficients broadcast together."""
+        self._entries += (np.broadcast_arrays(at, cols, coefs)
+                          for cols, coefs in terms)
+
+    def assemble(self, num_cols: int):
+        """(A, sense, rhs): the rows as a CSR matrix, each row's entries in
+        column order, and each row's sense and right-hand side."""
+        m = len(self.names)
+        sense, rhs = np.empty(m, dtype="<U2"), np.empty(m)
+        for at, s, b in self._sides:
+            sense[at], rhs[at] = s, b
+        row, col, coef = (np.concatenate([e[k].ravel() for e in self._entries])
+                          for k in range(3))
+        A = sparse.csr_matrix((coef, (row, col)), shape=(m, num_cols))
+        return A, sense, rhs
 
 
 @dataclass(frozen=True)
@@ -157,6 +216,8 @@ class MilpProblem:
     upper: np.ndarray
     integrality: np.ndarray          # bool per column
     registry: VariableRegistry
+    # the settlement_prices table the objective sums, if from a scenario
+    prices: np.ndarray | None = None
 
     @property
     def num_cols(self) -> int:
@@ -217,66 +278,64 @@ class Schedule:
     scenario_hash: str
     values: np.ndarray = field(repr=False)
     registry: VariableRegistry = field(repr=False)
+    prices: np.ndarray = field(repr=False)    # the problem's price table
+    scenario: Scenario = field(repr=False)    # the one decoded from
 
 
 def build_registry(s: Scenario) -> VariableRegistry:
     """Declare every decision column, with its bounds and integrality, in
-    deterministic order."""
+    deterministic order: one block of hours x families per entity."""
     reg = VariableRegistry()
     steps = s.horizon.steps
     total_pl = sum(br.pl_max for br in s.network.branches)
     total_ql = sum(br.ql_max for br in s.network.branches)
-    for t in steps:
-        reg.add("P_sub", t, lower=-total_pl, upper=total_pl)
-        reg.add("Q_sub", t, lower=-total_ql, upper=total_ql)
-        reg.add("r_sub_up", t, lower=0.0)
-        reg.add("r_sub_dn", t, lower=0.0)
+    reg.declare(steps, [("P_sub",), ("Q_sub",), ("r_sub_up",), ("r_sub_dn",)],
+                lower=[-total_pl, -total_ql, 0.0, 0.0],
+                upper=[total_pl, total_ql, np.inf, np.inf])
     for cfg in s.drags:
-        k = cfg.name
-        for ti, t in enumerate(steps):
-            for a, block in enumerate(cfg.blocks):
-                reg.add("P_block", a, t, k, lower=0.0, upper=block.p_max)
-            reg.add("r_up", t, k, lower=0.0, upper=cfg.cap_up_max[ti])
-            reg.add("r_dn", t, k, lower=0.0, upper=cfg.cap_dn_max[ti])
+        heads = [("P_block", a) for a in range(len(cfg.blocks))]
+        reg.declare(steps, heads + [("r_up",), ("r_dn",)], (cfg.name,),
+                    lower=0.0,
+                    upper=[[b.p_max for b in cfg.blocks] + [up, dn]
+                           for up, dn in zip(cfg.cap_up_max, cfg.cap_dn_max)])
     for cfg in s.esags:
-        k = cfg.name
-        both = cfg.dr_max + cfg.cr_max
-        for t in steps:
-            reg.add("P", t, k)                      # net injection, free
-            reg.add("E", t, k, lower=cfg.e_min, upper=cfg.e_max)
-            reg.add("P_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("P_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("r_up", t, k, lower=0.0, upper=both)
-            reg.add("r_dn", t, k, lower=0.0, upper=both)
-            reg.add("r_up_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("r_dn_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("r_up_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("r_dn_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("b_es", t, k, binary=True)
+        dr, cr = cfg.dr_max, cfg.cr_max
+        # P, the net injection, is free; b_es is the mode bit
+        reg.declare(steps, [(fam,) for fam in ESAG_COLUMNS], (cfg.name,),
+                    lower=[-np.inf, cfg.e_min] + [0.0] * 9,
+                    upper=[np.inf, cfg.e_max, dr, cr, dr + cr, dr + cr,
+                           dr, dr, cr, cr, 1.0],
+                    binary=[False] * 10 + [True])
     for cfg in s.evcss:
-        k = cfg.name
+        # no EVs present: every column for this hour pinned to zero
         avail = set(cfg.availability)
-        for t in steps:
-            # no EVs present: every column for this hour pinned to zero
-            on = t in avail
-            reg.add("P", t, k, lower=0.0, upper=cfg.er_max if on else 0.0)
-            reg.add("r_up", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
-            reg.add("r_dn", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
-        reg.add("b_ev", k, binary=True)
+        on = [cfg.er_max, cfg.err_max, cfg.err_max]
+        reg.declare(steps, [("P",), ("r_up",), ("r_dn",)], (cfg.name,),
+                    lower=0.0,
+                    upper=[on if t in avail else [0.0] * 3 for t in steps])
+        reg.add("b_ev", cfg.name, binary=True)
     for cfg in s.ddgags:
-        for t in steps:
-            reg.add("P", t, cfg.name, lower=cfg.p_min, upper=cfg.p_max)
-            reg.add("r_up", t, cfg.name, lower=0.0, upper=cfg.ru)
-            reg.add("r_dn", t, cfg.name, lower=0.0, upper=cfg.rd)
+        reg.declare(steps, [("P",), ("r_up",), ("r_dn",)], (cfg.name,),
+                    lower=[cfg.p_min, 0.0, 0.0],
+                    upper=[cfg.p_max, cfg.ru, cfg.rd])
     for br in s.network.branches:
-        for t in steps:
-            reg.add("Pl", br.id, t, lower=-br.pl_max, upper=br.pl_max)
-            reg.add("Ql", br.id, t, lower=-br.ql_max, upper=br.ql_max)
+        limit = np.array([br.pl_max, br.ql_max])
+        reg.declare(steps, [("Pl", br.id), ("Ql", br.id)], lower=-limit,
+                    upper=limit)
     for bus in s.network.buses:
-        for t in steps:
-            reg.add("V", bus.id, t, lower=s.network.v_min,
+        reg.declare(steps, [("V", bus.id)], lower=s.network.v_min,
                     upper=s.network.v_max)
     return reg
+
+
+def _stack(items, name: str) -> np.ndarray:
+    # the hourly series ``name`` of every item, one after another
+    return np.ravel([getattr(item, name) for item in items])
+
+
+def _each(items, name: str, hours: int = 1) -> np.ndarray:
+    # the number ``name`` of every item, repeated for each hour
+    return np.repeat([getattr(item, name) for item in items], hours)
 
 
 def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
@@ -290,34 +349,34 @@ def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
     energy, capacity, mileage = prices = np.zeros((3, len(reg)))
     w, sig = s.wholesale, s.regulation
     dt = s.horizon.step_hours
-    aggregators = [(kind, cfg, s.offers[cfg.name])
-                   for kind, cfg in s.aggregators()]
-    for ti, t in enumerate(s.horizon.steps):
-        # deployed share of the hour's up and down awards
-        share_up = sig.s_up[ti] * sig.mu_up[ti]
-        share_dn = sig.s_dn[ti] * sig.mu_dn[ti]
-        # the DSO sells energy and regulation to the wholesale market
-        energy[reg[("P_sub", t)]] = -w.energy[ti] * dt
-        up, dn = reg[("r_sub_up", t)], reg[("r_sub_dn", t)]
-        capacity[up] = -w.cap_up[ti]
-        capacity[dn] = -w.cap_dn[ti]
-        mileage[up] = -(share_up * w.mil_up[ti])
-        mileage[dn] = -(share_dn * w.mil_dn[ti])
-        # ... and buys them from the aggregators at their offer prices
-        for kind, cfg, o in aggregators:
-            k = cfg.name
-            if kind == KIND_DRAG:
-                for a, block in enumerate(cfg.blocks):
-                    energy[reg[("P_block", a, t, k)]] = -block.prices[ti] * dt
-            elif kind == KIND_EVCS:
-                energy[reg[("P", t, k)]] = -o.energy[ti] * dt
-            else:
-                energy[reg[("P", t, k)]] = o.energy[ti] * dt
-            up, dn = reg[("r_up", t, k)], reg[("r_dn", t, k)]
-            capacity[up] = o.cap_up[ti]
-            capacity[dn] = o.cap_dn[ti]
-            mileage[up] = share_up * o.mil_up[ti]
-            mileage[dn] = share_dn * o.mil_dn[ti]
+    # deployed share of each hour's up and down awards
+    share_up = np.multiply(sig.s_up, sig.mu_up)
+    share_dn = np.multiply(sig.s_dn, sig.mu_dn)
+    # the DSO sells energy and regulation to the wholesale market ...
+    energy[reg.hourly([("P_sub",)])] = -np.array(w.energy) * dt
+    up, dn = reg.hourly([("r_sub_up",)]), reg.hourly([("r_sub_dn",)])
+    capacity[up] = np.negative(w.cap_up)
+    capacity[dn] = np.negative(w.cap_dn)
+    mileage[up] = -(share_up * w.mil_up)
+    mileage[dn] = -(share_dn * w.mil_dn)
+    # ... and buys them from the aggregators at their offer prices: each
+    # DRAG block at its own bid, EV charging collected, injections paid
+    energy[reg.hourly(("P_block", a, cfg.name) for cfg in s.drags
+                      for a in range(len(cfg.blocks)))] = \
+        -_stack([b for cfg in s.drags for b in cfg.blocks], "prices") * dt
+    evcss, gens = s.evcss, s.esags + s.ddgags
+    energy[reg.hourly(("P", cfg.name) for cfg in evcss)] = \
+        -_stack([s.offers[cfg.name] for cfg in evcss], "energy") * dt
+    energy[reg.hourly(("P", cfg.name) for cfg in gens)] = \
+        _stack([s.offers[cfg.name] for cfg in gens], "energy") * dt
+    names = [cfg.name for _, cfg in s.aggregators()]
+    offers = [s.offers[name] for name in names]
+    up = reg.hourly(("r_up", name) for name in names)
+    dn = reg.hourly(("r_dn", name) for name in names)
+    capacity[up] = _stack(offers, "cap_up")
+    capacity[dn] = _stack(offers, "cap_dn")
+    mileage[up] = np.tile(share_up, len(names)) * _stack(offers, "mil_up")
+    mileage[dn] = np.tile(share_dn, len(names)) * _stack(offers, "mil_dn")
     return prices
 
 
@@ -329,230 +388,194 @@ def build_objective(s: Scenario, reg: VariableRegistry) -> np.ndarray:
 
 def add_drag_constraints(s: Scenario, reg: VariableRegistry,
                          rows: Constraints) -> None:
-    for cfg in s.drags:
-        blocks = range(len(cfg.blocks))
-        total = sum(b.p_max for b in cfg.blocks)
-        for t in s.horizon.steps:
-            block_cols = tuple(reg[("P_block", a, t, cfg.name)] for a in blocks)
-            rows.add(
-                f"drag_dn_headroom[{t},{cfg.name}]",
-                block_cols + (reg[("r_dn", t, cfg.name)],),
-                (1.0,) * len(block_cols) + (-1.0,), GE, 0.0)
-            rows.add(
-                f"drag_up_headroom[{t},{cfg.name}]",
-                block_cols + (reg[("r_up", t, cfg.name)],),
-                (1.0,) * len(block_cols) + (1.0,), LE, total)
+    drags, steps = s.drags, s.horizon.steps
+    T = len(steps)
+    at = rows.reserve([f"drag_{side}_headroom[{t},{cfg.name}]"
+                       for cfg in drags for t in steps
+                       for side in ("dn", "up")], 2)
+    total = np.repeat([sum(b.p_max for b in cfg.blocks) for cfg in drags], T)
+    r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in drags)
+                  for fam in ("r_up", "r_dn"))
+    rows.add(at, GE, 0.0, (r_dn, -1.0))
+    rows.add(at + 1, LE, total, (r_up, 1.0))
+    # each block enters both rows of its DRAG's hour with coefficient 1
+    owner = np.repeat(np.arange(len(drags)), [len(c.blocks) for c in drags])
+    blocks = reg.hourly(("P_block", a, cfg.name)
+                        for cfg in drags for a in range(len(cfg.blocks)))
+    block_rows = at.reshape(-1, T)[owner].ravel()
+    rows.put(block_rows, (blocks, 1.0))
+    rows.put(block_rows + 1, (blocks, 1.0))
 
 
 def add_esag_constraints(s: Scenario, reg: VariableRegistry,
                          rows: Constraints) -> None:
-    sig = s.regulation
+    esags, steps = s.esags, s.horizon.steps
+    T = len(steps)
     dt = s.horizon.step_hours
-    steps = s.horizon.steps
-    for cfg in s.esags:
-        k = cfg.name
-        for ti, t in enumerate(steps):
-            mu_up, mu_dn = sig.mu_up[ti], sig.mu_dn[ti]
-            # charge state: P*dt = E_{t-1} - E_t + dt*(r_up*mu/eta_di - r_dn*mu*eta_ch)
-            cols = [reg[("P", t, k)], reg[("E", t, k)],
-                    reg[("r_up", t, k)], reg[("r_dn", t, k)]]
-            coefs = [dt, 1.0,
-                     -dt * mu_up / cfg.eta_di, dt * mu_dn * cfg.eta_ch]
-            if ti == 0:
-                rhs = cfg.e_init
-            else:
-                cols.append(reg[("E", steps[ti - 1], k)])
-                coefs.append(-1.0)
-                rhs = 0.0
-            rows.add(f"esag_state[{t},{k}]", cols, coefs, EQ, rhs)
-            # injection split: P = P_di/eta_di - P_ch*eta_ch
-            rows.add(
-                f"esag_split[{t},{k}]",
-                (reg[("P", t, k)], reg[("P_di", t, k)], reg[("P_ch", t, k)]),
-                (1.0, -1.0 / cfg.eta_di, cfg.eta_ch), EQ, 0.0)
-            # capacity compositions
-            rows.add(
-                f"esag_cap_up[{t},{k}]",
-                (reg[("r_up", t, k)], reg[("r_up_di", t, k)],
-                 reg[("r_dn_ch", t, k)]),
-                (1.0, -1.0, -1.0), EQ, 0.0)
-            rows.add(
-                f"esag_cap_dn[{t},{k}]",
-                (reg[("r_dn", t, k)], reg[("r_dn_di", t, k)],
-                 reg[("r_up_ch", t, k)]),
-                (1.0, -1.0, -1.0), EQ, 0.0)
-            # mode gating: discharge-side offers need b = 1,
-            # charge-side offers need b = 0
-            b = reg[("b_es", t, k)]
-            for fam in ("P_di", "r_up_di", "r_dn_di"):
-                rows.add(
-                    f"esag_gate_di[{fam},{t},{k}]",
-                    (reg[(fam, t, k)], b), (1.0, -cfg.dr_max), LE, 0.0)
-            for fam in ("P_ch", "r_up_ch", "r_dn_ch"):
-                rows.add(
-                    f"esag_gate_ch[{fam},{t},{k}]",
-                    (reg[(fam, t, k)], b), (1.0, cfg.cr_max), LE, cfg.cr_max)
-            # merged gate/headroom rows: implied whenever b is 0 or 1, but
-            # they stop a fractional mode bit from claiming capacity on both
-            # sides at once, which keeps the relaxation tight enough to
-            # solve in seconds instead of hours
-            rows.add(
-                f"esag_gate_di_merged[{t},{k}]",
-                (reg[("P_di", t, k)], reg[("r_up_di", t, k)], b),
-                (1.0, 1.0, -cfg.dr_max), LE, 0.0)
-            rows.add(
-                f"esag_gate_ch_merged[{t},{k}]",
-                (reg[("P_ch", t, k)], reg[("r_up_ch", t, k)], b),
-                (1.0, 1.0, cfg.cr_max), LE, cfg.cr_max)
-            # headroom couplings around the scheduled (dis)charge rate
-            rows.add(
-                f"esag_di_floor[{t},{k}]",
-                (reg[("P_di", t, k)], reg[("r_dn_di", t, k)]),
-                (1.0, -1.0), GE, 0.0)
-            rows.add(
-                f"esag_di_ceiling[{t},{k}]",
-                (reg[("P_di", t, k)], reg[("r_up_di", t, k)]),
-                (1.0, 1.0), LE, cfg.dr_max)
-            rows.add(
-                f"esag_ch_floor[{t},{k}]",
-                (reg[("P_ch", t, k)], reg[("r_dn_ch", t, k)]),
-                (1.0, -1.0), GE, 0.0)
-            rows.add(
-                f"esag_ch_ceiling[{t},{k}]",
-                (reg[("P_ch", t, k)], reg[("r_up_ch", t, k)]),
-                (1.0, 1.0), LE, cfg.cr_max)
+    at = rows.reserve([f"esag_{head}{t},{cfg.name}]" for cfg in esags
+                       for t in steps for head in ESAG_ROWS], len(ESAG_ROWS))
+    P, E, P_di, P_ch, r_up, r_dn, r_up_di, r_dn_di, r_up_ch, r_dn_ch, b = (
+        reg.hourly((fam, cfg.name) for cfg in esags) for fam in ESAG_COLUMNS)
+    eta_di, eta_ch, dr, cr = (_each(esags, name, T) for name in
+                              ("eta_di", "eta_ch", "dr_max", "cr_max"))
+    mu_up = np.tile(s.regulation.mu_up, len(esags))
+    mu_dn = np.tile(s.regulation.mu_dn, len(esags))
+    # charge state: P*dt = E_{t-1} - E_t + dt*(r_up*mu/eta_di - r_dn*mu*eta_ch),
+    # with E_{t-1} the initial charge in the first hour
+    first = np.tile(np.arange(T) == 0, len(esags))
+    rows.add(at, EQ, np.where(first, _each(esags, "e_init", T), 0.0),
+             (P, dt), (E, 1.0), (r_up, -dt * mu_up / eta_di),
+             (r_dn, dt * mu_dn * eta_ch))
+    rows.put(at[~first], (np.roll(E, 1)[~first], -1.0))
+    # injection split: P = P_di/eta_di - P_ch*eta_ch
+    rows.add(at + 1, EQ, 0.0, (P, 1.0), (P_di, -1.0 / eta_di), (P_ch, eta_ch))
+    # capacity compositions
+    rows.add(at + 2, EQ, 0.0, (r_up, 1.0), (r_up_di, -1.0), (r_dn_ch, -1.0))
+    rows.add(at + 3, EQ, 0.0, (r_dn, 1.0), (r_dn_di, -1.0), (r_up_ch, -1.0))
+    # mode gating: discharge-side offers need b = 1,
+    # charge-side offers need b = 0
+    for j, cols in enumerate((P_di, r_up_di, r_dn_di)):
+        rows.add(at + 4 + j, LE, 0.0, (cols, 1.0), (b, -dr))
+    for j, cols in enumerate((P_ch, r_up_ch, r_dn_ch)):
+        rows.add(at + 7 + j, LE, cr, (cols, 1.0), (b, cr))
+    # merged gate/headroom rows: implied whenever b is 0 or 1, but they
+    # stop a fractional mode bit from claiming capacity on both sides at
+    # once, which keeps the relaxation tight enough to solve in seconds
+    # instead of hours
+    rows.add(at + 10, LE, 0.0, (P_di, 1.0), (r_up_di, 1.0), (b, -dr))
+    rows.add(at + 11, LE, cr, (P_ch, 1.0), (r_up_ch, 1.0), (b, cr))
+    # headroom couplings around the scheduled (dis)charge rate
+    rows.add(at + 12, GE, 0.0, (P_di, 1.0), (r_dn_di, -1.0))
+    rows.add(at + 13, LE, dr, (P_di, 1.0), (r_up_di, 1.0))
+    rows.add(at + 14, GE, 0.0, (P_ch, 1.0), (r_dn_ch, -1.0))
+    rows.add(at + 15, LE, cr, (P_ch, 1.0), (r_up_ch, 1.0))
 
 
 def add_evcs_constraints(s: Scenario, reg: VariableRegistry,
                          rows: Constraints) -> None:
-    sig = s.regulation
+    evcss, steps = s.evcss, s.horizon.steps
     dt = s.horizon.step_hours
-    step_index = {t: i for i, t in enumerate(s.horizon.steps)}
-    for cfg in s.evcss:
-        k = cfg.name
-        b = reg[("b_ev", k)]
-        for t in cfg.availability:
-            rows.add(f"evcs_gate_p[{t},{k}]",
-                     (reg[("P", t, k)], b),
-                     (1.0, -cfg.er_max), LE, 0.0)
-            rows.add(f"evcs_gate_up[{t},{k}]",
-                     (reg[("r_up", t, k)], b),
-                     (1.0, -cfg.err_max), LE, 0.0)
-            rows.add(f"evcs_gate_dn[{t},{k}]",
-                     (reg[("r_dn", t, k)], b),
-                     (1.0, -cfg.err_max), LE, 0.0)
-            rows.add(f"evcs_up_headroom[{t},{k}]",
-                     (reg[("P", t, k)], reg[("r_up", t, k)]),
-                     (1.0, 1.0), LE, cfg.er_max)
-            rows.add(f"evcs_dn_headroom[{t},{k}]",
-                     (reg[("P", t, k)], reg[("r_dn", t, k)]),
-                     (1.0, -1.0), GE, 0.0)
-        # terminal charge window, gated by the enable binary:
-        # 0.9*cl_max*b <= e_init*b + gamma*dt*sum(P + r_up*mu - r_dn*mu) <= cl_max*b
-        cols: list[int] = [b]
-        charge: list[float] = []
-        for t in cfg.availability:
-            ti = step_index[t]
-            for fam, sign in (("P", 1.0), ("r_up", sig.mu_up[ti]),
-                              ("r_dn", -sig.mu_dn[ti])):
-                cols.append(reg[(fam, t, k)])
-                charge.append(cfg.gamma_ch * dt * sign)
-        rows.add(f"evcs_charge_floor[{k}]", cols,
-                 [cfg.e_init - 0.9 * cfg.cl_max] + charge, GE, 0.0)
-        rows.add(f"evcs_charge_ceiling[{k}]", cols,
-                 [cfg.e_init - cfg.cl_max] + charge, LE, 0.0)
+    heads = ("gate_p", "gate_up", "gate_dn", "up_headroom", "dn_headroom")
+    row = rows.reserve([
+        name for cfg in evcss for name in
+        [f"evcs_{head}[{t},{cfg.name}]" for t in cfg.availability
+         for head in heads]
+        + [f"evcs_charge_floor[{cfg.name}]",
+           f"evcs_charge_ceiling[{cfg.name}]"]])
+    # each station's rows: five per hour of its window, then two for its
+    # terminal charge
+    window = [len(cfg.availability) for cfg in evcss]
+    stations = np.arange(len(evcss))
+    owner = np.repeat(stations, window)
+    at = row[5 * np.arange(len(owner)) + 2 * owner]
+    floor = row[5 * np.cumsum(window, dtype=np.intp) + 2 * stations]
+    step_index = {t: i for i, t in enumerate(steps)}
+    hour = np.array([step_index[t] for cfg in evcss for t in cfg.availability],
+                    dtype=np.intp)
+    pick = owner * len(steps) + hour
+    P, r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in evcss)[pick]
+                     for fam in ("P", "r_up", "r_dn"))
+    b_ev = np.array([reg[("b_ev", cfg.name)] for cfg in evcss], dtype=np.intp)
+    b = b_ev[owner]
+    er, err = (_each(evcss, name)[owner] for name in ("er_max", "err_max"))
+    rows.add(at, LE, 0.0, (P, 1.0), (b, -er))
+    rows.add(at + 1, LE, 0.0, (r_up, 1.0), (b, -err))
+    rows.add(at + 2, LE, 0.0, (r_dn, 1.0), (b, -err))
+    rows.add(at + 3, LE, er, (P, 1.0), (r_up, 1.0))
+    rows.add(at + 4, GE, 0.0, (P, 1.0), (r_dn, -1.0))
+    # terminal charge window, gated by the enable binary:
+    # 0.9*cl_max*b <= e_init*b + gamma*dt*sum(P + r_up*mu - r_dn*mu) <= cl_max*b
+    e_init, cl_max = (_each(evcss, name) for name in ("e_init", "cl_max"))
+    rows.add(floor, GE, 0.0, (b_ev, e_init - 0.9 * cl_max))
+    rows.add(floor + 1, LE, 0.0, (b_ev, e_init - cl_max))
+    gamma = np.array([cfg.gamma_ch * dt for cfg in evcss])[owner]
+    charge = ((P, gamma), (r_up, gamma * np.take(s.regulation.mu_up, hour)),
+              (r_dn, gamma * -np.take(s.regulation.mu_dn, hour)))
+    rows.put(floor[owner], *charge)
+    rows.put(floor[owner] + 1, *charge)
 
 
 def add_ddgag_constraints(s: Scenario, reg: VariableRegistry,
                           rows: Constraints) -> None:
-    for cfg in s.ddgags:
-        for t in s.horizon.steps:
-            rows.add(
-                f"ddgag_up_headroom[{t},{cfg.name}]",
-                (reg[("P", t, cfg.name)], reg[("r_up", t, cfg.name)]),
-                (1.0, 1.0), LE, cfg.p_max)
-            rows.add(
-                f"ddgag_dn_headroom[{t},{cfg.name}]",
-                (reg[("P", t, cfg.name)], reg[("r_dn", t, cfg.name)]),
-                (1.0, -1.0), GE, cfg.p_min)
+    ddgags, steps = s.ddgags, s.horizon.steps
+    T = len(steps)
+    at = rows.reserve([f"ddgag_{side}_headroom[{t},{cfg.name}]"
+                       for cfg in ddgags for t in steps
+                       for side in ("up", "dn")], 2)
+    P, r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in ddgags)
+                     for fam in ("P", "r_up", "r_dn"))
+    rows.add(at, LE, _each(ddgags, "p_max", T), (P, 1.0), (r_up, 1.0))
+    rows.add(at + 1, GE, _each(ddgags, "p_min", T), (P, 1.0), (r_dn, -1.0))
 
 
 def add_network_constraints(s: Scenario, reg: VariableRegistry,
                             rows: Constraints) -> None:
     net = s.network
     steps = s.horizon.steps
-    by_node: dict[int, list] = {n: [] for n in net.bus_ids()}
+    # each hour's rows: a p and a q balance per bus, a voltage drop per
+    # branch, then the voltage anchor
+    balance = {bus.id: 2 * i for i, bus in enumerate(net.buses)}
+    drop = 2 * len(net.buses)
+    per_hour = drop + len(net.branches) + 1
+    hours = rows.reserve([
+        name for t in steps for name in
+        [f"{kind}_balance[{t},{bus.id}]" for bus in net.buses
+         for kind in "pq"]
+        + [f"voltage_drop[{t},{br.id}]" for br in net.branches]
+        + [f"voltage_anchor[{t}]"]], per_hour)
+    # one hour's entries as (row within the hour, family, coefficient)
+    terms: list[tuple[int, VarKey, float]] = []
     for kind, cfg in s.aggregators():
-        by_node[cfg.node].append((kind, cfg))
-    # each bus's (branch, incidence) pairs, in branch order
-    incident: dict[int, list] = {n: [] for n in net.bus_ids()}
-    for br in net.branches:
+        # active balance: consumption +, generation -, plus substation
+        # injection and net branch outflow, all summing to zero; DRAGs and
+        # DDGAGs also draw or inject reactive power at tan(phi)
+        p = balance[cfg.node]
+        sign = 1.0 if kind in (KIND_DRAG, KIND_EVCS) else -1.0
+        for key in ([("P_block", a, cfg.name) for a in range(len(cfg.blocks))]
+                    if kind == KIND_DRAG else [("P", cfg.name)]):
+            terms.append((p, key, sign))
+            if kind in (KIND_DRAG, KIND_DDGAG):
+                terms.append((p + 1, key, sign * cfg.tan_phi))
+    sub = balance[net.substation_bus]
+    terms += [(sub, ("P_sub",), 1.0), (sub + 1, ("Q_sub",), 1.0)]
+    for i, br in enumerate(net.branches):
         for bus_id in (br.from_bus, br.to_bus):
-            a_jn = net.incidence(br, bus_id)
-            if bus_id in incident:
-                incident[bus_id].append((br, float(a_jn)))
-
-    for ti, t in enumerate(steps):
-        for bus in net.buses:
-            # active balance: consumption +, generation -, plus substation
-            # injection and net branch outflow, all summing to zero
-            # column -> coefficient; no column enters a balance twice
-            p: dict[int, float] = {}
-            q: dict[int, float] = {}
-            for kind, cfg in by_node[bus.id]:
-                if kind == KIND_DRAG:
-                    for a in range(len(cfg.blocks)):
-                        j = reg[("P_block", a, t, cfg.name)]
-                        p[j] = 1.0
-                        q[j] = cfg.tan_phi
-                elif kind == KIND_EVCS:
-                    p[reg[("P", t, cfg.name)]] = 1.0
-                elif kind == KIND_ESAG:
-                    p[reg[("P", t, cfg.name)]] = -1.0
-                else:
-                    j = reg[("P", t, cfg.name)]
-                    p[j] = -1.0
-                    q[j] = -cfg.tan_phi
-            if bus.id == net.substation_bus:
-                p[reg[("P_sub", t)]] = 1.0
-                q[reg[("Q_sub", t)]] = 1.0
-            for br, a_jn in incident[bus.id]:
-                p[reg[("Pl", br.id, t)]] = a_jn
-                q[reg[("Ql", br.id, t)]] = a_jn
-            rows.add(f"p_balance[{t},{bus.id}]", p.keys(), p.values(), EQ,
-                     -bus.p_load[ti])
-            rows.add(f"q_balance[{t},{bus.id}]", q.keys(), q.values(), EQ,
-                     -bus.q_load[ti])
-        # voltage drop along each branch; branch impedances are p.u., so
+            a_jn = float(net.incidence(br, bus_id))
+            terms += [(balance[bus_id], ("Pl", br.id), a_jn),
+                      (balance[bus_id] + 1, ("Ql", br.id), a_jn)]
+        # voltage drop along the branch; branch impedances are p.u., so
         # MW/MVAr flows are converted through the network base
-        for br in net.branches:
-            rows.add(
-                f"voltage_drop[{t},{br.id}]",
-                (reg[("V", br.to_bus, t)], reg[("V", br.from_bus, t)],
-                 reg[("Pl", br.id, t)], reg[("Ql", br.id, t)]),
-                (1.0, -1.0, br.r / net.s_base, br.x / net.s_base), EQ, 0.0)
-        rows.add(
-            f"voltage_anchor[{t}]",
-            (reg[("V", net.substation_bus, t)],), (1.0,), EQ,
-            net.v_substation)
+        terms += [(drop + i, ("V", br.to_bus), 1.0),
+                  (drop + i, ("V", br.from_bus), -1.0),
+                  (drop + i, ("Pl", br.id), br.r / net.s_base),
+                  (drop + i, ("Ql", br.id), br.x / net.s_base)]
+    terms.append((per_hour - 1, ("V", net.substation_bus), 1.0))
+    slot, keys, coefs = zip(*terms)
+    rows.put(np.add.outer(slot, hours),
+             (reg.hourly(keys).reshape(len(keys), -1),
+              np.array(coefs)[:, None]))
+    rhs = np.zeros((len(steps), per_hour))
+    rhs[:, :drop:2] = -np.array([bus.p_load for bus in net.buses]).T
+    rhs[:, 1:drop:2] = -np.array([bus.q_load for bus in net.buses]).T
+    rhs[:, -1] = net.v_substation
+    rows.add(hours[:, None] + np.arange(per_hour), EQ, rhs)
 
 
 def add_aggregation_constraints(s: Scenario, reg: VariableRegistry,
                                 rows: Constraints) -> None:
     """Substation offers: generation-side up plus load-side down (and the
     symmetric cross-mapping for the down product)."""
-    gen_names = [c.name for c in s.esags] + [c.name for c in s.ddgags]
-    load_names = [c.name for c in s.drags] + [c.name for c in s.evcss]
-    coefs = [1.0] + [-1.0] * (len(gen_names) + len(load_names))
-    for t in s.horizon.steps:
-        up_cols = ([reg[("r_sub_up", t)]]
-                   + [reg[("r_up", t, name)] for name in gen_names]
-                   + [reg[("r_dn", t, name)] for name in load_names])
-        dn_cols = ([reg[("r_sub_dn", t)]]
-                   + [reg[("r_dn", t, name)] for name in gen_names]
-                   + [reg[("r_up", t, name)] for name in load_names])
-        rows.add(f"agg_up[{t}]", up_cols, coefs, EQ, 0.0)
-        rows.add(f"agg_dn[{t}]", dn_cols, coefs, EQ, 0.0)
+    steps = s.horizon.steps
+    gen = [c.name for c in s.esags] + [c.name for c in s.ddgags]
+    load = [c.name for c in s.drags] + [c.name for c in s.evcss]
+    at = rows.reserve([f"agg_{side}[{t}]" for t in steps
+                       for side in ("up", "dn")], 2)
+    for j, (sub, gen_fam, load_fam) in enumerate(
+            (("r_sub_up", "r_up", "r_dn"), ("r_sub_dn", "r_dn", "r_up"))):
+        offers = reg.hourly([(gen_fam, name) for name in gen]
+                            + [(load_fam, name) for name in load])
+        rows.add(at + j, EQ, 0.0, (reg.hourly([(sub,)]), 1.0),
+                 (offers.reshape(-1, len(steps)), -1.0))
 
 
 def expected_row_count(s: Scenario) -> int:
@@ -577,18 +600,12 @@ def build(s: Scenario) -> MilpProblem:
                        add_evcs_constraints, add_ddgag_constraints,
                        add_network_constraints, add_aggregation_constraints):
         add_family(s, reg, rows)
+    A, sense, rhs = rows.assemble(len(reg))
+    energy, capacity, mileage = prices = settlement_prices(s, reg)
     return MilpProblem(
-        objective=build_objective(s, reg),
-        A=sparse.csr_matrix((rows.coef, (rows.row, rows.col)),
-                            shape=(len(rows.names), len(reg))),
-        sense=np.array(rows.senses),
-        rhs=np.array(rows.rhs, dtype=float),
-        row_names=tuple(rows.names),
-        lower=lower,
-        upper=upper,
-        integrality=integral,
-        registry=reg,
-    )
+        objective=energy + capacity + mileage, A=A, sense=sense, rhs=rhs,
+        row_names=tuple(rows.names), lower=lower, upper=upper,
+        integrality=integral, registry=reg, prices=prices)
 
 
 def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
@@ -604,11 +621,11 @@ def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
     reg = problem.registry
     steps = s.horizon.steps
 
-    def series(keys) -> list[float]:
-        return values[reg.columns(keys)].tolist()
+    def series(*key) -> list[float]:
+        return values[reg.hourly([key])].tolist()
 
-    def hourly(keys) -> dict[int, float]:
-        return dict(zip(steps, series(keys)))
+    def hourly(*key) -> dict[int, float]:
+        return dict(zip(steps, series(*key)))
 
     energy: dict[str, dict[int, float]] = {}
     cap_up: dict[str, dict[int, float]] = {}
@@ -619,41 +636,39 @@ def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
     for kind, cfg in s.aggregators():
         name = cfg.name
         if kind == KIND_DRAG:
-            blocks = [series(("P_block", a, t, name) for t in steps)
+            blocks = [series("P_block", a, name)
                       for a in range(len(cfg.blocks))]
-            energy[name] = {t: sum(b[ti] for b in blocks)
-                            for ti, t in enumerate(steps)}
+            energy[name] = dict(zip(steps, map(sum, zip(*blocks))))
         else:
-            energy[name] = hourly(("P", t, name) for t in steps)
-        cap_up[name] = hourly(("r_up", t, name) for t in steps)
-        cap_dn[name] = hourly(("r_dn", t, name) for t in steps)
+            energy[name] = hourly("P", name)
+        cap_up[name] = hourly("r_up", name)
+        cap_dn[name] = hourly("r_dn", name)
         if kind == KIND_ESAG:
-            esag_charge[name] = hourly(("E", t, name) for t in steps)
-            modes = series(("b_es", t, name) for t in steps)
-            esag_mode[name] = {t: int(round(v)) for t, v in zip(steps, modes)}
+            esag_charge[name] = hourly("E", name)
+            esag_mode[name] = {t: int(round(v))
+                               for t, v in zip(steps, series("b_es", name))}
         elif kind == KIND_EVCS:
             evcs_enabled[name] = int(round(float(values[reg[("b_ev", name)]])))
 
     return Schedule(
         steps=steps,
-        p_sub=hourly(("P_sub", t) for t in steps),
-        q_sub=hourly(("Q_sub", t) for t in steps),
-        r_sub_up=hourly(("r_sub_up", t) for t in steps),
-        r_sub_dn=hourly(("r_sub_dn", t) for t in steps),
+        p_sub=hourly("P_sub"),
+        q_sub=hourly("Q_sub"),
+        r_sub_up=hourly("r_sub_up"),
+        r_sub_dn=hourly("r_sub_dn"),
         energy=energy,
         cap_up=cap_up,
         cap_dn=cap_dn,
         esag_charge=esag_charge,
         esag_mode=esag_mode,
         evcs_enabled=evcs_enabled,
-        flows_p={br.id: hourly(("Pl", br.id, t) for t in steps)
-                 for br in s.network.branches},
-        flows_q={br.id: hourly(("Ql", br.id, t) for t in steps)
-                 for br in s.network.branches},
-        voltage={bus.id: hourly(("V", bus.id, t) for t in steps)
-                 for bus in s.network.buses},
+        flows_p={br.id: hourly("Pl", br.id) for br in s.network.branches},
+        flows_q={br.id: hourly("Ql", br.id) for br in s.network.branches},
+        voltage={bus.id: hourly("V", bus.id) for bus in s.network.buses},
         objective=float(problem.objective @ values),
         scenario_hash=scenario_hash(s),
         values=values,
         registry=reg,
+        prices=problem.prices,
+        scenario=s,
     )

@@ -8,7 +8,8 @@ appears in COLUMNS: one with no cost and no matrix entry gets ``COST 0``,
 because readers drop or reorder a column they never see.
 
 Each section is an array of tokens joined at once, each distinct number is
-formatted once, and ``write_mps`` streams COLUMNS in ``BLOCK``-column chunks.
+formatted once, names are spelled from digit arrays, and ``write_mps``
+streams COLUMNS in ``BLOCK``-column chunks.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def _texts(*arrays: np.ndarray) -> list[np.ndarray]:
     return np.split(text[inverse], np.cumsum([len(a) for a in arrays[:-1]]))
 
 
+def _names(prefix: str, count: int) -> np.ndarray:
+    """``prefix`` and the 7-digit index of each of ``count`` names."""
+    if count > 10 ** 7:
+        raise ValueError(f"{count} names do not fit 7 digits")
+    digits = np.arange(count, dtype=np.uint32)[:, None] // 10 ** np.arange(
+        6, -1, -1, dtype=np.uint32) % 10 + ord("0")
+    chars = np.column_stack([np.full(count, ord(prefix), np.uint32), digits])
+    return chars.view("U8").ravel().astype(object)
+
+
 def _marker(k: int) -> str:
     """Marker ``k``: integer runs open at even ``k`` and close at odd."""
     kind = "'INTEND'" if k % 2 else "'INTORG'"
@@ -60,8 +71,8 @@ def _marker(k: int) -> str:
 
 def _chunks(problem: MilpProblem, name: str) -> Iterator[str]:
     m, n = problem.A.shape
-    rows = np.array([f"R{i:07d}" for i in range(m)] + ["COST    "], object)
-    cols = np.array([f"C{j:07d}" for j in range(n)], object)
+    rows = np.append(_names("R", m), "COST    ")
+    cols = _names("C", n)
     yield f"NAME          {name}\nROWS\n N  COST\n"
     yield _join([_SENSE[s] for s in problem.sense.tolist()], rows[:m], "\n")
 

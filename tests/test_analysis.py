@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import first_energy_rise, make_scenario, rows_by_name
-from dsomarket import analysis
+from dsomarket import analysis, formulation
 from dsomarket.analysis import (
     CHUNK_CASES,
     StaleSchedule,
@@ -261,3 +261,35 @@ def test_export_sweep_layout(tmp_path):
     assert len(lines) == 1 + 3 * (2 + 1)
     assert lines[1].startswith("1,0.1,")
     assert any(line.split(",")[2] == "dso_wholesale" for line in lines[1:])
+
+
+def test_sweep_hashes_and_prices_each_case_once(monkeypatch):
+    # one scenario hash (at decode) and one price table (for the objective,
+    # reused for revenue) per case, cold chunk starts included
+    counts = {"scenario_hash": 0, "settlement_prices": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name, getattr(formulation, name))
+        for module in (formulation, analysis):
+            monkeypatch.setattr(module, name, wrapper)
+    scenario = make_scenario(T=2, kinds=("ddgag", "esag"))
+    result = run_sweep(scenario, "ddgag-x", cases=40, threads=1)
+    assert all(c.status == OPTIMAL for c in result.cases)
+    assert counts == {"scenario_hash": 40, "settlement_prices": 40}
+
+    # compute_revenue still hashes any scenario but the one decoded from
+    problem = build(scenario)
+    solution = solve_milp(problem)
+    schedule = decode(scenario, problem, solution.values, solution.status)
+    copy = replace(scenario, offers=dict(scenario.offers))
+    assert compute_revenue(schedule, copy) == \
+        compute_revenue(schedule, scenario)
+    other = scale_energy_offers(scenario, "ddgag-x", 0.5)
+    with pytest.raises(StaleSchedule):
+        compute_revenue(schedule, other)

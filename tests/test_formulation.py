@@ -1,14 +1,15 @@
 """Problem compilation: registry layout, bounds, objective, rows, decode."""
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, rows_by_name
-from oracles import make_problem
+from oracles import make_problem, reference_build
 from dsomarket.formulation import (
     EQ,
     GE,
@@ -25,7 +26,22 @@ from dsomarket.formulation import (
     expected_row_count,
     settlement_prices,
 )
-from dsomarket.model import InconsistentTopology, ScenarioValidationError
+from dsomarket.model import (
+    Branch,
+    Bus,
+    DdgagConfig,
+    DemandBlock,
+    DragConfig,
+    EsagConfig,
+    EvcsConfig,
+    Horizon,
+    InconsistentTopology,
+    OfferPrices,
+    RegulationSignal,
+    ScenarioValidationError,
+    WholesalePrices,
+    validate_scenario,
+)
 
 
 def test_registry_is_bijective_and_ordered():
@@ -67,6 +83,30 @@ def test_registry_sums_columns_per_owner():
     assert sums["x"] == [3.0, 4.0]
     assert sums[1] == [0.0, 8.0]
     assert str(sums[1][0]) == "0.0"
+
+
+def test_registry_declares_blocks_hour_by_hour():
+    reg = VariableRegistry()
+    reg.add("first")
+    block = reg.declare((4, 5), [("a",), ("b", 7)], ("x",),
+                        lower=[0.0, -1.0], upper=[[1.0, 2.0], [1.0, 3.0]],
+                        binary=[True, False])
+    assert block.tolist() == [[1, 2], [3, 4]]
+    assert reg.keys()[1:] == (("a", 4, "x"), ("b", 7, 4, "x"),
+                              ("a", 5, "x"), ("b", 7, 5, "x"))
+    # each family's columns hour by hour, under its key without the hour
+    assert reg.hourly([("b", 7, "x"), ("a", "x")]).tolist() == [2, 4, 1, 3]
+    assert reg.hourly([]).tolist() == []
+    lower, upper, integral = reg.bounds()
+    assert lower.tolist() == [-np.inf, 0.0, -1.0, 0.0, -1.0]
+    assert upper.tolist() == [np.inf, 1.0, 2.0, 1.0, 3.0]
+    assert integral.tolist() == [False, True, False, True, False]
+    del lower, upper, integral
+    # a key declared before, or twice in one block, is refused whole
+    for heads, owner in (([("c",), ("a",)], ("x",)), ([("c",), ("c",)], ())):
+        with pytest.raises(ValueError, match="duplicate"):
+            reg.declare((5,), heads, owner)
+        assert len(reg) == 5 and ("c", 5) + owner not in reg
 
 
 def test_registry_deterministic_across_builds(bundled):
@@ -323,3 +363,121 @@ def test_residual_is_nonnegative_and_tight(coefs, sense):
     lhs = coefs[0] * x[0] + coefs[1] * x[1]
     satisfied = {LE: lhs <= 1.0, GE: lhs >= 1.0, EQ: lhs == 1.0}[sense]
     assert (r == 0.0) == satisfied or abs(lhs - 1.0) < 1e-12
+
+
+# --- agreement with the one-row-at-a-time reference build -----------------
+
+def _assert_same_build(s):
+    """Every compiled array equals the reference build's, byte for byte
+    (dtype, shape and bits: explicit zeros and -0.0 included)."""
+    new, ref = build(s), reference_build(s)
+    for name in ("A.indptr", "A.indices", "A.data", "sense", "rhs", "lower",
+                 "upper", "integrality", "objective"):
+        a, b = map(attrgetter(name), (new, ref))
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert new.row_names == ref.row_names
+    assert new.registry.keys() == ref.registry.keys()
+
+
+def _fleet(T=4, start=5, copies=(2, 2, 2, 2), blocks=(1, 3), windows=None,
+           nodes=None, n_bus=4, mu=(0.0, 0.5, 1.0, 0.25), tan_phi=0.0):
+    """A valid radial scenario with several aggregators of each kind.
+
+    ``copies`` counts DRAGs, ESAGs, EVCSs and DDGAGs; DRAG d has
+    ``blocks[d % len(blocks)]`` blocks, EVCS k is available over
+    ``windows[k]`` (first hour index, hours), and aggregator i sits on bus
+    ``nodes[i % len(nodes)]`` (bus 1 is the substation).  Hours start at
+    ``start``; a zero ``mu`` makes some coefficients -0.0.
+    """
+    s = make_scenario(T=T, kinds=())
+    steps = tuple(range(start, start + T))
+    series = lambda base, i=0: tuple(base + 0.5 * ((i + h) % 3)
+                                     for h in range(T))
+    buses = tuple(Bus(b, series(0.1 * b), series(0.05 * b))
+                  for b in range(1, n_bus + 1))
+    branches = tuple(Branch(b, b, b + 1, r=0.01 * b, x=0.02, pl_max=30.0,
+                            ql_max=15.0 + b) for b in range(1, n_bus))
+    nodes = nodes or tuple(range(1, n_bus + 1))
+    windows = windows or [(k % T, T - k % T) for k in range(copies[2])]
+    drags, esags, evcss, ddgags, offers = [], [], [], [], {}
+    place = iter(range(sum(copies)))
+
+    def node():
+        return nodes[next(place) % len(nodes)]
+
+    for d in range(copies[0]):
+        nb = blocks[d % len(blocks)]
+        drags.append(DragConfig(
+            f"drag-{d}", node(),
+            tuple(DemandBlock(1.0 + a, series(30.0 - 5 * a, d))
+                  for a in range(nb)),
+            series(1.0, d), series(0.5, d), tan_phi=tan_phi + 0.1 * d))
+    for e in range(copies[1]):
+        esags.append(EsagConfig(
+            f"esag-{e}", node(), eta_ch=0.9 - 0.05 * e, eta_di=0.95, e_min=1.0,
+            e_max=8.0 + e, e_init=2.0 + e, dr_max=2.0 + e, cr_max=1.5))
+    for k, (first, hours) in enumerate(windows):
+        evcss.append(EvcsConfig(
+            f"evcs-{k}", node(), steps[first:first + hours], er_max=3.0 + k,
+            err_max=0.5, cl_max=4.0, e_init=1.0 + k % 2, gamma_ch=0.9))
+    for g in range(copies[3]):
+        ddgags.append(DdgagConfig(
+            f"ddgag-{g}", node(), p_min=0.1 * g, p_max=2.0 + g, ru=0.5,
+            rd=0.25 * g, tan_phi=tan_phi))
+    for i, cfg in enumerate(drags + esags + evcss + ddgags):
+        offers[cfg.name] = OfferPrices(
+            series(20.0, i), series(4.0, i), series(3.0, i),
+            series(0.2, i), series(0.1, i))
+    mu = tuple(mu[h % len(mu)] for h in range(T))
+    return replace(
+        s, horizon=Horizon(steps=steps),
+        wholesale=WholesalePrices(*(series(v) for v in (40.0, 5, 4, 1, 0.5))),
+        regulation=RegulationSignal(mu, mu[::-1], series(1.0), series(0.5)),
+        network=replace(s.network, buses=buses, branches=branches,
+                        v_substation=1.02),
+        drags=tuple(drags), esags=tuple(esags), evcss=tuple(evcss),
+        ddgags=tuple(ddgags), offers=offers)
+
+
+def test_build_matches_reference_on_bundled_case(bundled):
+    _assert_same_build(bundled)
+
+
+@pytest.mark.parametrize("kinds", [
+    (), ("ddgag",), ("esag",), ("evcs",), ("drag",),
+    ("drag", "esag", "evcs", "ddgag"),
+])
+def test_build_matches_reference_per_kind(kinds):
+    _assert_same_build(make_scenario(T=3, kinds=kinds))
+
+
+def test_build_matches_reference_on_fleet():
+    # three copies of each kind, DRAGs with 1-3 blocks, EVCS windows of
+    # different starts and lengths, two aggregators on every bus, some on
+    # the substation bus (1)
+    s = _fleet(T=5, copies=(3, 3, 3, 3), blocks=(1, 3, 2),
+               windows=[(0, 5), (2, 2), (4, 1)], nodes=(2, 2, 1, 3))
+    assert not validate_scenario(s).violations
+    assert {cfg.node for _, cfg in s.aggregators()} == {1, 2, 3}
+    _assert_same_build(s)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=st.integers(1, 4), start=st.integers(0, 3),
+       copies=st.tuples(*[st.integers(0, 3)] * 4),
+       blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n_bus=st.integers(1, 4), data=st.data())
+def test_build_matches_reference_on_fleets(T, start, copies, blocks, n_bus,
+                                           data):
+    windows = [data.draw(st.integers(0, T - 1).flatmap(
+        lambda first: st.tuples(st.just(first), st.integers(1, T - first))))
+        for _ in range(copies[2])]
+    nodes = data.draw(st.lists(st.integers(1, n_bus), min_size=1,
+                               max_size=4))
+    mu = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1,
+                            max_size=3))
+    s = _fleet(T, start, copies, blocks, windows, nodes, n_bus, mu,
+               tan_phi=data.draw(st.sampled_from([0.0, 0.33])))
+    assert not validate_scenario(s).violations
+    _assert_same_build(s)
