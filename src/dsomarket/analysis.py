@@ -134,8 +134,9 @@ def scale_energy_offers(scenario: Scenario, target: str,
     out = replace(scenario, offers=offers)
     if kind == KIND_DRAG:
         drags = tuple(
-            replace(cfg, blocks=tuple(b.scaled(1.0, multiplier)
-                                      for b in cfg.blocks))
+            replace(cfg, blocks=tuple(
+                replace(b, prices=tuple(p * multiplier for p in b.prices))
+                for b in cfg.blocks))
             if cfg.name == target else cfg
             for cfg in scenario.drags)
         out = replace(out, drags=drags)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -59,9 +60,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.gap <= 0 or args.max_nodes <= 0:
-        print("error: --gap and --max-nodes must be positive",
-              file=sys.stderr)
+    if not 0 < args.gap < math.inf or args.max_nodes <= 0:
+        print("error: --gap must be finite and positive, and --max-nodes "
+              "positive", file=sys.stderr)
         return EXIT_IO
     scenario = scenario_io.load_scenario(args.scenario)
     opts = solver.SolveOptions(relative_gap=args.gap,

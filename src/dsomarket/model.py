@@ -10,8 +10,9 @@ dataclass so scenarios can be shared freely across concurrent solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterator
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 Series = tuple[float, ...]
 
@@ -19,6 +20,35 @@ KIND_DRAG = "drag"
 KIND_ESAG = "esag"
 KIND_EVCS = "evcs"
 KIND_DDGAG = "ddgag"
+
+# Aggregator kind (its ``type`` in a scenario file) -> the Scenario field
+# holding that fleet, in the order ``Scenario.aggregators`` yields them.
+FLEETS = {KIND_DRAG: "drags", KIND_ESAG: "esags", KIND_EVCS: "evcss",
+          KIND_DDGAG: "ddgags"}
+
+# Units of the number fields.  The per-unit view divides POWER fields by
+# s_base and multiplies PRICE fields by it.
+POWER = "power"         # MW, MVAr or MWh
+PRICE = "price"         # $/MW or $/MWh
+
+# Series check kinds -> rules (test every entry must pass, code, message),
+# tried in order after the length check; the first rule failed is reported.
+_FINITE = (math.isfinite, "PRICE_NOT_FINITE", "contains non-finite values")
+_SERIES_CHECKS = {
+    "price": (_FINITE,),
+    "nonneg": (_FINITE, (lambda x: x >= 0, "PRICE_NEGATIVE",
+                         "contains negative values")),
+    "share": ((lambda x: 0.0 <= x <= 1.0, "SIGNAL_OUT_OF_RANGE",
+               "must lie in [0, 1]"),),
+    "ratio": ((math.isfinite, "VALUE_NOT_FINITE", "contains non-finite values"),
+              (lambda x: x >= 0, "SIGNAL_OUT_OF_RANGE", "must be >= 0")),
+}
+
+
+def _number(unit: str | None = None, check: str | None = None):
+    """A number field declaring its unit (POWER, PRICE or none) and, for a
+    series, its check kind (a key of ``_SERIES_CHECKS``)."""
+    return field(metadata={"unit": unit, "check": check})
 
 
 class ZeroBase(ValueError):
@@ -44,44 +74,40 @@ class Horizon:
 class WholesalePrices:
     """Wholesale energy, regulation capacity, and mileage prices per hour."""
 
-    energy: Series          # $/MWh
-    cap_up: Series          # $/MW
-    cap_dn: Series          # $/MW
-    mil_up: Series          # $/MW
-    mil_dn: Series          # $/MW
+    energy: Series = _number(PRICE, "price")
+    cap_up: Series = _number(PRICE, "nonneg")
+    cap_dn: Series = _number(PRICE, "nonneg")
+    mil_up: Series = _number(PRICE, "nonneg")
+    mil_dn: Series = _number(PRICE, "nonneg")
 
 
 @dataclass(frozen=True)
 class RegulationSignal:
     """Performance scores (mu, p.u.) and mileage ratios (s) per hour."""
 
-    mu_up: Series
-    mu_dn: Series
-    s_up: Series
-    s_dn: Series
+    mu_up: Series = _number(check="share")
+    mu_dn: Series = _number(check="share")
+    s_up: Series = _number(check="ratio")
+    s_dn: Series = _number(check="ratio")
 
 
 @dataclass(frozen=True)
 class OfferPrices:
     """One aggregator's per-hour offer prices to the DSO."""
 
-    energy: Series          # $/MWh
-    cap_up: Series          # $/MW
-    cap_dn: Series          # $/MW
-    mil_up: Series          # $/MW
-    mil_dn: Series          # $/MW
+    energy: Series = _number(PRICE, "price")
+    cap_up: Series = _number(PRICE, "nonneg")
+    cap_dn: Series = _number(PRICE, "nonneg")
+    mil_up: Series = _number(PRICE, "nonneg")
+    mil_dn: Series = _number(PRICE, "nonneg")
 
 
 @dataclass(frozen=True)
 class DemandBlock:
     """One step of a demand response aggregator's stepwise bid."""
 
-    p_max: float            # MW
-    prices: Series          # $/MWh, per hour
-
-    def scaled(self, power: float, price: float) -> "DemandBlock":
-        return DemandBlock(self.p_max * power,
-                           tuple(p * price for p in self.prices))
+    p_max: float = _number(POWER)
+    prices: Series = _number(PRICE, "price")
 
 
 @dataclass(frozen=True)
@@ -91,8 +117,8 @@ class DragConfig:
     name: str
     node: int
     blocks: tuple[DemandBlock, ...]
-    cap_up_max: Series      # MW, per hour
-    cap_dn_max: Series      # MW, per hour
+    cap_up_max: Series = _number(POWER, "nonneg")
+    cap_dn_max: Series = _number(POWER, "nonneg")
     tan_phi: float
 
 
@@ -104,11 +130,11 @@ class EsagConfig:
     node: int
     eta_ch: float
     eta_di: float
-    e_min: float            # MWh
-    e_max: float            # MWh
-    e_init: float           # MWh
-    dr_max: float           # MW discharging rate
-    cr_max: float           # MW charging rate
+    e_min: float = _number(POWER)
+    e_max: float = _number(POWER)
+    e_init: float = _number(POWER)
+    dr_max: float = _number(POWER)      # discharging rate
+    cr_max: float = _number(POWER)      # charging rate
 
 
 @dataclass(frozen=True)
@@ -118,10 +144,10 @@ class EvcsConfig:
     name: str
     node: int
     availability: tuple[int, ...]   # hour indices with EVs present
-    er_max: float           # MW charging rate
-    err_max: float          # MW regulation capacity cap
-    cl_max: float           # MWh maximum charge level
-    e_init: float           # MWh initial charge level
+    er_max: float = _number(POWER)      # charging rate
+    err_max: float = _number(POWER)     # regulation capacity cap
+    cl_max: float = _number(POWER)      # maximum charge level
+    e_init: float = _number(POWER)      # initial charge level
     gamma_ch: float
 
 
@@ -131,18 +157,18 @@ class DdgagConfig:
 
     name: str
     node: int
-    p_min: float            # MW
-    p_max: float            # MW
-    ru: float               # MW ramp-up / capacity-up cap
-    rd: float               # MW ramp-down / capacity-down cap
+    p_min: float = _number(POWER)
+    p_max: float = _number(POWER)
+    ru: float = _number(POWER)          # ramp-up / capacity-up cap
+    rd: float = _number(POWER)          # ramp-down / capacity-down cap
     tan_phi: float
 
 
 @dataclass(frozen=True)
 class Bus:
     id: int
-    p_load: Series          # MW, per hour
-    q_load: Series          # MVAr, per hour
+    p_load: Series = _number(POWER, "price")
+    q_load: Series = _number(POWER, "price")
 
 
 @dataclass(frozen=True)
@@ -152,8 +178,8 @@ class Branch:
     to_bus: int             # downstream endpoint
     r: float                # p.u.
     x: float                # p.u.
-    pl_max: float           # MW
-    ql_max: float           # MVAr
+    pl_max: float = _number(POWER)
+    ql_max: float = _number(POWER)
 
 
 @dataclass(frozen=True)
@@ -220,14 +246,9 @@ class Scenario:
     offers: dict[str, OfferPrices] = field(default_factory=dict)
 
     def aggregators(self) -> Iterator[tuple[str, object]]:
-        for cfg in self.drags:
-            yield KIND_DRAG, cfg
-        for cfg in self.esags:
-            yield KIND_ESAG, cfg
-        for cfg in self.evcss:
-            yield KIND_EVCS, cfg
-        for cfg in self.ddgags:
-            yield KIND_DDGAG, cfg
+        for kind, fleet in FLEETS.items():
+            for cfg in getattr(self, fleet):
+                yield kind, cfg
 
     def aggregator_names(self) -> tuple[str, ...]:
         return tuple(cfg.name for _, cfg in self.aggregators())
@@ -266,8 +287,25 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"invalid scenario: {lines}")
 
 
-def _finite(xs: Series) -> bool:
-    return all(math.isfinite(x) for x in xs)
+@cache
+def _plan(cls: type) -> tuple[tuple, tuple]:
+    """Per-unit entries (name, unit, series, container) and series checks
+    (name, rules) of a dataclass, from its field metadata and type hints.
+    A field holding dataclasses with scaled fields (one, or a tuple or dict
+    of them: container None, tuple or dict) is walked, not scaled."""
+    hints = get_type_hints(cls)
+    scaled, checked = [], []
+    for f in fields(cls):
+        hint = hints[f.name]
+        unit, check = f.metadata.get("unit"), f.metadata.get("check")
+        if check:
+            checked.append((f.name, _SERIES_CHECKS[check]))
+        inner = next((a for a in get_args(hint) if is_dataclass(a)), hint)
+        if unit:
+            scaled.append((f.name, unit, hint is not float, None))
+        elif is_dataclass(inner) and _plan(inner)[0]:
+            scaled.append((f.name, None, False, get_origin(hint)))
+    return tuple(scaled), tuple(checked)
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
@@ -292,51 +330,33 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         bad("STEP_HOURS_NOT_POSITIVE",
             f"step_hours must be > 0, got {s.horizon.step_hours}")
 
-    def check_series(label: str, xs: Series, nonneg: bool = False) -> None:
-        if len(xs) != T:
-            bad("SERIES_LENGTH_MISMATCH",
-                f"{label} has {len(xs)} entries, horizon has {T}")
-            return
-        if not _finite(xs):
-            bad("PRICE_NOT_FINITE", f"{label} contains non-finite values")
-        elif nonneg and any(x < 0 for x in xs):
-            bad("PRICE_NEGATIVE", f"{label} contains negative values")
+    def check_series(label: str, obj: object) -> None:
+        for name, rules in _plan(type(obj))[1]:
+            xs = getattr(obj, name)
+            if len(xs) != T:
+                bad("SERIES_LENGTH_MISMATCH",
+                    f"{label}.{name} has {len(xs)} entries, horizon has {T}")
+                continue
+            for test, code, text in rules:
+                if not all(map(test, xs)):
+                    bad(code, f"{label}.{name} {text}")
+                    break
 
-    w = s.wholesale
-    check_series("wholesale.energy", w.energy)
-    check_series("wholesale.cap_up", w.cap_up, nonneg=True)
-    check_series("wholesale.cap_dn", w.cap_dn, nonneg=True)
-    check_series("wholesale.mil_up", w.mil_up, nonneg=True)
-    check_series("wholesale.mil_dn", w.mil_dn, nonneg=True)
-
-    reg = s.regulation
-    for label, xs in (("mu_up", reg.mu_up), ("mu_dn", reg.mu_dn)):
-        if len(xs) != T:
-            bad("SERIES_LENGTH_MISMATCH",
-                f"regulation.{label} has {len(xs)} entries, horizon has {T}")
-        elif any(not (0.0 <= x <= 1.0) for x in xs):
-            bad("SIGNAL_OUT_OF_RANGE",
-                f"regulation.{label} must lie in [0, 1]")
-    for label, xs in (("s_up", reg.s_up), ("s_dn", reg.s_dn)):
-        if len(xs) != T:
-            bad("SERIES_LENGTH_MISMATCH",
-                f"regulation.{label} has {len(xs)} entries, horizon has {T}")
-        elif not _finite(xs):
-            bad("VALUE_NOT_FINITE",
-                f"regulation.{label} contains non-finite values")
-        elif any(x < 0 for x in xs):
-            bad("SIGNAL_OUT_OF_RANGE", f"regulation.{label} must be >= 0")
+    check_series("wholesale", s.wholesale)
+    check_series("regulation", s.regulation)
 
     net = s.network
     bus_ids = net.bus_ids()
     if len(set(bus_ids)) != len(bus_ids):
         bad("DUPLICATE_BUS", "bus ids are not unique")
+    branch_ids = [br.id for br in net.branches]
+    if len(set(branch_ids)) != len(branch_ids):
+        bad("DUPLICATE_BRANCH", "branch ids are not unique")
     if net.substation_bus not in bus_ids:
         bad("NO_SUBSTATION",
             f"substation bus {net.substation_bus} is not a bus")
     for bus in net.buses:
-        check_series(f"bus[{bus.id}].p_load", bus.p_load)
-        check_series(f"bus[{bus.id}].q_load", bus.q_load)
+        check_series(f"bus[{bus.id}]", bus)
     for br in net.branches:
         if br.from_bus == br.to_bus:
             bad("BRANCH_SELF_LOOP", f"branch {br.id} is a self-loop")
@@ -367,12 +387,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if cfg.name not in s.offers:
             bad("OFFER_MISSING", f"no offer prices for {cfg.name}")
         else:
-            o = s.offers[cfg.name]
-            check_series(f"offers[{cfg.name}].energy", o.energy)
-            check_series(f"offers[{cfg.name}].cap_up", o.cap_up, nonneg=True)
-            check_series(f"offers[{cfg.name}].cap_dn", o.cap_dn, nonneg=True)
-            check_series(f"offers[{cfg.name}].mil_up", o.mil_up, nonneg=True)
-            check_series(f"offers[{cfg.name}].mil_dn", o.mil_dn, nonneg=True)
+            check_series(f"offers[{cfg.name}]", s.offers[cfg.name])
     known = set(names)
     for name in s.offers:
         if name not in known:
@@ -386,7 +401,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             if block.p_max < 0:
                 bad("DRAG_BLOCK_PMAX_NEGATIVE",
                     f"{cfg.name} block {a} has p_max {block.p_max}")
-            check_series(f"{cfg.name}.blocks[{a}].prices", block.prices)
+            check_series(f"{cfg.name}.blocks[{a}]", block)
         for t_idx in range(T):
             prices = [b.prices[t_idx] for b in cfg.blocks
                       if len(b.prices) == T]
@@ -394,8 +409,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                 bad("DRAG_BLOCK_PRICES_NOT_MONOTONE",
                     f"{cfg.name} block prices increase at hour index {t_idx}")
                 break
-        check_series(f"{cfg.name}.cap_up_max", cfg.cap_up_max, nonneg=True)
-        check_series(f"{cfg.name}.cap_dn_max", cfg.cap_dn_max, nonneg=True)
+        check_series(cfg.name, cfg)
 
     for cfg in s.esags:
         if not (0.0 < cfg.eta_ch <= 1.0) or not (0.0 < cfg.eta_di <= 1.0):
@@ -454,14 +468,28 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _scale(xs: Series, factor: float) -> Series:
-    return tuple(x * factor for x in xs)
+def _rescale(obj, factors: dict[str, float]):
+    """``obj`` with each field of a unit multiplied by that unit's factor,
+    through the nested dataclasses, tuples and dicts its plan walks."""
+    changes = {}
+    for name, unit, series, container in _plan(type(obj))[0]:
+        x = getattr(obj, name)
+        if unit:
+            k = factors[unit]
+            changes[name] = tuple(v * k for v in x) if series else x * k
+        elif container is tuple:
+            changes[name] = tuple(_rescale(v, factors) for v in x)
+        elif container is dict:
+            changes[name] = {k: _rescale(v, factors) for k, v in x.items()}
+        else:
+            changes[name] = _rescale(x, factors)
+    return replace(obj, **changes)
 
 
 def per_unit_view(s: Scenario) -> Scenario:
     """Rescale all power/energy quantities by the network base.
 
-    Powers and energies are divided by ``s_base`` while prices are
+    POWER fields are divided by ``s_base`` while PRICE fields are
     multiplied by it, so the compiled objective in dollars is unchanged.
     The returned scenario carries ``s_base = 1``, which makes the
     transformation idempotent.
@@ -471,62 +499,5 @@ def per_unit_view(s: Scenario) -> Scenario:
         raise ZeroBase("cannot normalize with s_base == 0")
     if base == 1.0:
         return s
-    inv = 1.0 / base
-
-    wholesale = WholesalePrices(
-        energy=_scale(s.wholesale.energy, base),
-        cap_up=_scale(s.wholesale.cap_up, base),
-        cap_dn=_scale(s.wholesale.cap_dn, base),
-        mil_up=_scale(s.wholesale.mil_up, base),
-        mil_dn=_scale(s.wholesale.mil_dn, base),
-    )
-    offers = {
-        name: OfferPrices(
-            energy=_scale(o.energy, base),
-            cap_up=_scale(o.cap_up, base),
-            cap_dn=_scale(o.cap_dn, base),
-            mil_up=_scale(o.mil_up, base),
-            mil_dn=_scale(o.mil_dn, base),
-        )
-        for name, o in s.offers.items()
-    }
-    network = replace(
-        s.network,
-        buses=tuple(Bus(b.id, _scale(b.p_load, inv), _scale(b.q_load, inv))
-                    for b in s.network.buses),
-        branches=tuple(replace(br, pl_max=br.pl_max * inv,
-                               ql_max=br.ql_max * inv)
-                       for br in s.network.branches),
-        s_base=1.0,
-    )
-    drags = tuple(
-        replace(cfg,
-                blocks=tuple(b.scaled(inv, base) for b in cfg.blocks),
-                cap_up_max=_scale(cfg.cap_up_max, inv),
-                cap_dn_max=_scale(cfg.cap_dn_max, inv))
-        for cfg in s.drags)
-    esags = tuple(
-        replace(cfg, e_min=cfg.e_min * inv, e_max=cfg.e_max * inv,
-                e_init=cfg.e_init * inv, dr_max=cfg.dr_max * inv,
-                cr_max=cfg.cr_max * inv)
-        for cfg in s.esags)
-    evcss = tuple(
-        replace(cfg, er_max=cfg.er_max * inv, err_max=cfg.err_max * inv,
-                cl_max=cfg.cl_max * inv, e_init=cfg.e_init * inv)
-        for cfg in s.evcss)
-    ddgags = tuple(
-        replace(cfg, p_min=cfg.p_min * inv, p_max=cfg.p_max * inv,
-                ru=cfg.ru * inv, rd=cfg.rd * inv)
-        for cfg in s.ddgags)
-
-    return Scenario(
-        horizon=s.horizon,
-        wholesale=wholesale,
-        regulation=s.regulation,
-        network=network,
-        drags=drags,
-        esags=esags,
-        evcss=evcss,
-        ddgags=ddgags,
-        offers=offers,
-    )
+    out = _rescale(s, {POWER: 1.0 / base, PRICE: base})
+    return replace(out, network=replace(out.network, s_base=1.0))

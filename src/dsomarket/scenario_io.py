@@ -22,10 +22,7 @@ from functools import cache, partial
 from typing import Any, get_args, get_type_hints
 
 from .model import (
-    KIND_DDGAG,
-    KIND_DRAG,
-    KIND_ESAG,
-    KIND_EVCS,
+    FLEETS,
     Branch,
     Bus,
     Horizon,
@@ -68,10 +65,6 @@ _SECTIONS = (("wholesale", "wholesale"), ("regulation", "regulation_signal"),
 
 _DOC_REQUIRED = frozenset({"version", "horizon", "aggregators", "offers",
                            *(key for _, key in _SECTIONS)})
-
-# The ``type`` of an ``aggregators`` entry -> the Scenario field holding it.
-_FLEETS = {KIND_DRAG: "drags", KIND_ESAG: "esags", KIND_EVCS: "evcss",
-           KIND_DDGAG: "ddgags"}
 
 
 def _mileage(cap: str):
@@ -237,17 +230,17 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, tuple[str, ...]]:
     parts = {name: _parse(hints[name], doc[key], key, applied, T)
              for name, key in _SECTIONS}
 
-    fleets = {name: [] for name in _FLEETS.values()}
+    fleets = {name: [] for name in FLEETS.values()}
     if not isinstance(doc["aggregators"], list):
         raise SchemaError("aggregators must be a list")
     for i, agg in enumerate(doc["aggregators"]):
         where = f"aggregators[{i}]"
         agg = _require_mapping(agg, where)
         kind = _string(agg["type"], f"{where}.type") if "type" in agg else None
-        if kind not in _FLEETS:
+        if kind not in FLEETS:
             raise SchemaError(f"{where}.type must be one of "
                               "drag/esag/evcs/ddgag")
-        fleet = _FLEETS[kind]
+        fleet = FLEETS[kind]
         config = {k: v for k, v in agg.items() if k != "type"}
         fleets[fleet].append(
             _parse(get_args(hints[fleet])[0], config, where, applied, T))

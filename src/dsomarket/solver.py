@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import importlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +48,9 @@ class SolveOptions:
     max_nodes: int = 100_000
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.integrality_tol <= 0 \
-                or self.relative_gap <= 0:
-            raise ValueError("tolerances must be > 0")
+        tols = (self.feasibility_tol, self.integrality_tol, self.relative_gap)
+        if not all(0 < tol < math.inf for tol in tols):
+            raise ValueError("tolerances must be finite and > 0")
 
 
 @dataclass(frozen=True)

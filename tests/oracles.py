@@ -5,12 +5,15 @@ oracle enumerates every binary assignment and solves the residual LPs
 with scipy.  Neither shares any search logic with the package's
 branch-and-bound.  The MPS oracle formats the file one column and one
 number at a time in plain Python, and the build oracle compiles a
-scenario one column and one constraint row at a time.
+scenario one column and one constraint row at a time.  The validation and
+per-unit oracles spell out every series check and every rescaled field by
+hand, class by class.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -18,7 +21,20 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from dsomarket.formulation import EQ, GE, LE, MilpProblem, VariableRegistry
-from dsomarket.model import KIND_DRAG, KIND_ESAG, KIND_EVCS, Scenario
+from dsomarket.model import (
+    KIND_DRAG,
+    KIND_ESAG,
+    KIND_EVCS,
+    Bus,
+    DemandBlock,
+    OfferPrices,
+    Scenario,
+    Series,
+    ValidationReport,
+    Violation,
+    WholesalePrices,
+    ZeroBase,
+)
 
 
 def make_problem(c, A, senses, b, lower, upper, integrality) -> MilpProblem:
@@ -557,3 +573,271 @@ def _reference_aggregation_rows(s: Scenario, reg: VariableRegistry,
                    + [reg[("r_up", t, name)] for name in load_names])
         rows.add(f"agg_up[{t}]", up_cols, coefs, EQ, 0.0)
         rows.add(f"agg_dn[{t}]", dn_cols, coefs, EQ, 0.0)
+
+
+def _finite(xs: Series) -> bool:
+    return all(math.isfinite(x) for x in xs)
+
+
+def reference_validate(s: Scenario) -> ValidationReport:
+    """Check every structural invariant of the scenario.
+
+    Violations are returned as data; nothing raises.  An empty report means
+    the scenario is ready for compilation.
+    """
+    out: list[Violation] = []
+
+    def bad(code: str, message: str) -> None:
+        out.append(Violation(code, message))
+
+    steps = s.horizon.steps
+    T = len(steps)
+    if T == 0:
+        bad("HORIZON_EMPTY", "horizon has no steps")
+    elif list(steps) != list(range(steps[0], steps[0] + T)):
+        bad("HORIZON_NOT_CONTIGUOUS",
+            "horizon steps must be contiguous and strictly increasing")
+    if s.horizon.step_hours <= 0:
+        bad("STEP_HOURS_NOT_POSITIVE",
+            f"step_hours must be > 0, got {s.horizon.step_hours}")
+
+    def check_series(label: str, xs: Series, nonneg: bool = False) -> None:
+        if len(xs) != T:
+            bad("SERIES_LENGTH_MISMATCH",
+                f"{label} has {len(xs)} entries, horizon has {T}")
+            return
+        if not _finite(xs):
+            bad("PRICE_NOT_FINITE", f"{label} contains non-finite values")
+        elif nonneg and any(x < 0 for x in xs):
+            bad("PRICE_NEGATIVE", f"{label} contains negative values")
+
+    w = s.wholesale
+    check_series("wholesale.energy", w.energy)
+    check_series("wholesale.cap_up", w.cap_up, nonneg=True)
+    check_series("wholesale.cap_dn", w.cap_dn, nonneg=True)
+    check_series("wholesale.mil_up", w.mil_up, nonneg=True)
+    check_series("wholesale.mil_dn", w.mil_dn, nonneg=True)
+
+    reg = s.regulation
+    for label, xs in (("mu_up", reg.mu_up), ("mu_dn", reg.mu_dn)):
+        if len(xs) != T:
+            bad("SERIES_LENGTH_MISMATCH",
+                f"regulation.{label} has {len(xs)} entries, horizon has {T}")
+        elif any(not (0.0 <= x <= 1.0) for x in xs):
+            bad("SIGNAL_OUT_OF_RANGE",
+                f"regulation.{label} must lie in [0, 1]")
+    for label, xs in (("s_up", reg.s_up), ("s_dn", reg.s_dn)):
+        if len(xs) != T:
+            bad("SERIES_LENGTH_MISMATCH",
+                f"regulation.{label} has {len(xs)} entries, horizon has {T}")
+        elif not _finite(xs):
+            bad("VALUE_NOT_FINITE",
+                f"regulation.{label} contains non-finite values")
+        elif any(x < 0 for x in xs):
+            bad("SIGNAL_OUT_OF_RANGE", f"regulation.{label} must be >= 0")
+
+    net = s.network
+    bus_ids = net.bus_ids()
+    if len(set(bus_ids)) != len(bus_ids):
+        bad("DUPLICATE_BUS", "bus ids are not unique")
+    if net.substation_bus not in bus_ids:
+        bad("NO_SUBSTATION",
+            f"substation bus {net.substation_bus} is not a bus")
+    for bus in net.buses:
+        check_series(f"bus[{bus.id}].p_load", bus.p_load)
+        check_series(f"bus[{bus.id}].q_load", bus.q_load)
+    for br in net.branches:
+        if br.from_bus == br.to_bus:
+            bad("BRANCH_SELF_LOOP", f"branch {br.id} is a self-loop")
+        for end in (br.from_bus, br.to_bus):
+            if end not in bus_ids:
+                bad("UNKNOWN_BUS", f"branch {br.id} references bus {end}")
+        if br.pl_max < 0 or br.ql_max < 0:
+            bad("FLOW_LIMIT_NEGATIVE", f"branch {br.id} has a negative limit")
+    if len(net.branches) != len(net.buses) - 1:
+        bad("NETWORK_NOT_RADIAL",
+            f"{len(net.branches)} branches for {len(net.buses)} buses; "
+            "a radial network needs |branches| = |buses| - 1")
+    elif not net.is_connected():
+        bad("NETWORK_DISCONNECTED", "network is not connected")
+    if not (net.v_min <= net.v_max):
+        bad("VOLTAGE_BOUNDS_INVERTED",
+            f"v_min={net.v_min} exceeds v_max={net.v_max}")
+    if net.s_base <= 0:
+        bad("BASE_NOT_POSITIVE", f"s_base must be > 0, got {net.s_base}")
+
+    names = list(s.aggregator_names())
+    if len(set(names)) != len(names):
+        bad("DUPLICATE_AGGREGATOR", "aggregator names are not unique")
+    for kind, cfg in s.aggregators():
+        if cfg.node not in bus_ids:
+            bad("UNKNOWN_BUS",
+                f"{kind} {cfg.name} placed on unknown bus {cfg.node}")
+        if cfg.name not in s.offers:
+            bad("OFFER_MISSING", f"no offer prices for {cfg.name}")
+        else:
+            o = s.offers[cfg.name]
+            check_series(f"offers[{cfg.name}].energy", o.energy)
+            check_series(f"offers[{cfg.name}].cap_up", o.cap_up, nonneg=True)
+            check_series(f"offers[{cfg.name}].cap_dn", o.cap_dn, nonneg=True)
+            check_series(f"offers[{cfg.name}].mil_up", o.mil_up, nonneg=True)
+            check_series(f"offers[{cfg.name}].mil_dn", o.mil_dn, nonneg=True)
+    known = set(names)
+    for name in s.offers:
+        if name not in known:
+            bad("OFFER_UNKNOWN_AGGREGATOR",
+                f"offer prices for unknown aggregator {name}")
+
+    for cfg in s.drags:
+        if not cfg.blocks:
+            bad("DRAG_NO_BLOCKS", f"{cfg.name} has no demand blocks")
+        for a, block in enumerate(cfg.blocks):
+            if block.p_max < 0:
+                bad("DRAG_BLOCK_PMAX_NEGATIVE",
+                    f"{cfg.name} block {a} has p_max {block.p_max}")
+            check_series(f"{cfg.name}.blocks[{a}].prices", block.prices)
+        for t_idx in range(T):
+            prices = [b.prices[t_idx] for b in cfg.blocks
+                      if len(b.prices) == T]
+            if any(prices[i] < prices[i + 1] for i in range(len(prices) - 1)):
+                bad("DRAG_BLOCK_PRICES_NOT_MONOTONE",
+                    f"{cfg.name} block prices increase at hour index {t_idx}")
+                break
+        check_series(f"{cfg.name}.cap_up_max", cfg.cap_up_max, nonneg=True)
+        check_series(f"{cfg.name}.cap_dn_max", cfg.cap_dn_max, nonneg=True)
+
+    for cfg in s.esags:
+        if not (0.0 < cfg.eta_ch <= 1.0) or not (0.0 < cfg.eta_di <= 1.0):
+            bad("ESAG_EFFICIENCY_OUT_OF_RANGE",
+                f"{cfg.name} efficiencies must lie in (0, 1]")
+        if cfg.e_min > cfg.e_max:
+            bad("ESAG_ENERGY_BOUNDS_INVERTED",
+                f"{cfg.name} has e_min {cfg.e_min} > e_max {cfg.e_max}")
+        elif not (cfg.e_min <= cfg.e_init <= cfg.e_max):
+            bad("ESAG_INIT_OUT_OF_RANGE",
+                f"{cfg.name} initial charge {cfg.e_init} outside "
+                f"[{cfg.e_min}, {cfg.e_max}]")
+        if cfg.dr_max <= 0 or cfg.cr_max <= 0:
+            bad("ESAG_RATE_NOT_POSITIVE",
+                f"{cfg.name} charge/discharge rates must be > 0")
+
+    for cfg in s.evcss:
+        avail = cfg.availability
+        if not avail:
+            bad("EVCS_AVAILABILITY_EMPTY", f"{cfg.name} is never available")
+        else:
+            if any(t not in steps for t in avail):
+                bad("EVCS_AVAILABILITY_OUTSIDE_HORIZON",
+                    f"{cfg.name} availability references unknown hours")
+            if list(avail) != list(range(avail[0], avail[0] + len(avail))):
+                bad("EVCS_AVAILABILITY_NOT_CONTIGUOUS",
+                    f"{cfg.name} availability window must be contiguous")
+        if not (0.0 <= cfg.e_init <= cfg.cl_max):
+            bad("EVCS_INIT_OUT_OF_RANGE",
+                f"{cfg.name} initial charge {cfg.e_init} outside "
+                f"[0, {cfg.cl_max}]")
+        if cfg.er_max < 0 or cfg.err_max < 0:
+            bad("EVCS_RATE_NEGATIVE", f"{cfg.name} rates must be >= 0")
+        if not (0.0 < cfg.gamma_ch <= 1.0):
+            bad("EVCS_EFFICIENCY_OUT_OF_RANGE",
+                f"{cfg.name} gamma_ch must lie in (0, 1]")
+
+    for cfg in s.ddgags:
+        if not (0.0 <= cfg.p_min <= cfg.p_max):
+            bad("DDGAG_POWER_BOUNDS_INVALID",
+                f"{cfg.name} needs 0 <= p_min <= p_max")
+        if cfg.ru < 0 or cfg.rd < 0:
+            bad("DDGAG_RAMP_NEGATIVE", f"{cfg.name} ramp rates must be >= 0")
+
+    scalars = [("horizon", s.horizon), ("network", net)]
+    scalars += [(f"branch[{br.id}]", br) for br in net.branches]
+    scalars += [(f"{cfg.name}.blocks[{a}]", block) for cfg in s.drags
+                for a, block in enumerate(cfg.blocks)]
+    scalars += [(cfg.name, cfg) for _, cfg in s.aggregators()]
+    for label, obj in scalars:
+        for f in fields(obj):
+            x = getattr(obj, f.name)
+            if isinstance(x, float) and not math.isfinite(x):
+                bad("VALUE_NOT_FINITE", f"{label}.{f.name} is {x}")
+
+    return ValidationReport(tuple(out))
+
+
+def _scale(xs: Series, factor: float) -> Series:
+    return tuple(x * factor for x in xs)
+
+
+def reference_per_unit_view(s: Scenario) -> Scenario:
+    """Rescale all power/energy quantities by the network base.
+
+    Powers and energies are divided by ``s_base`` while prices are
+    multiplied by it, so the compiled objective in dollars is unchanged.
+    The returned scenario carries ``s_base = 1``, which makes the
+    transformation idempotent.
+    """
+    base = s.network.s_base
+    if base == 0:
+        raise ZeroBase("cannot normalize with s_base == 0")
+    if base == 1.0:
+        return s
+    inv = 1.0 / base
+
+    wholesale = WholesalePrices(
+        energy=_scale(s.wholesale.energy, base),
+        cap_up=_scale(s.wholesale.cap_up, base),
+        cap_dn=_scale(s.wholesale.cap_dn, base),
+        mil_up=_scale(s.wholesale.mil_up, base),
+        mil_dn=_scale(s.wholesale.mil_dn, base),
+    )
+    offers = {
+        name: OfferPrices(
+            energy=_scale(o.energy, base),
+            cap_up=_scale(o.cap_up, base),
+            cap_dn=_scale(o.cap_dn, base),
+            mil_up=_scale(o.mil_up, base),
+            mil_dn=_scale(o.mil_dn, base),
+        )
+        for name, o in s.offers.items()
+    }
+    network = replace(
+        s.network,
+        buses=tuple(Bus(b.id, _scale(b.p_load, inv), _scale(b.q_load, inv))
+                    for b in s.network.buses),
+        branches=tuple(replace(br, pl_max=br.pl_max * inv,
+                               ql_max=br.ql_max * inv)
+                       for br in s.network.branches),
+        s_base=1.0,
+    )
+    drags = tuple(
+        replace(cfg,
+                blocks=tuple(DemandBlock(b.p_max * inv,
+                                         _scale(b.prices, base))
+                             for b in cfg.blocks),
+                cap_up_max=_scale(cfg.cap_up_max, inv),
+                cap_dn_max=_scale(cfg.cap_dn_max, inv))
+        for cfg in s.drags)
+    esags = tuple(
+        replace(cfg, e_min=cfg.e_min * inv, e_max=cfg.e_max * inv,
+                e_init=cfg.e_init * inv, dr_max=cfg.dr_max * inv,
+                cr_max=cfg.cr_max * inv)
+        for cfg in s.esags)
+    evcss = tuple(
+        replace(cfg, er_max=cfg.er_max * inv, err_max=cfg.err_max * inv,
+                cl_max=cfg.cl_max * inv, e_init=cfg.e_init * inv)
+        for cfg in s.evcss)
+    ddgags = tuple(
+        replace(cfg, p_min=cfg.p_min * inv, p_max=cfg.p_max * inv,
+                ru=cfg.ru * inv, rd=cfg.rd * inv)
+        for cfg in s.ddgags)
+
+    return Scenario(
+        horizon=s.horizon,
+        wholesale=wholesale,
+        regulation=s.regulation,
+        network=network,
+        drags=drags,
+        esags=esags,
+        evcss=evcss,
+        ddgags=ddgags,
+        offers=offers,
+    )

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -135,8 +136,31 @@ def test_solve_writes_result_files(scenario_file, tmp_path, capsys):
 
 
 def test_solve_rejects_bad_gap(scenario_file, tmp_path, capsys):
-    assert cli.main(["solve", scenario_file, "--gap", "-1",
-                     "--out", str(tmp_path / "r")]) == 3
+    # a NaN or infinite gap would reach solve.json, which JSON cannot hold
+    for gap in ("-1", "0", "nan", "inf"):
+        out = tmp_path / gap
+        assert cli.main(["solve", scenario_file, "--gap", gap,
+                         "--out", str(out)]) == 3
+        assert "--gap must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_duplicate_branch_ids_exit_1(tmp_path, capsys):
+    # a radial branch count, but two branches share an id
+    s = make_scenario(kinds=("ddgag", "esag"))
+    net = s.network
+    twin = replace(net.branches[1], id=net.branches[0].id)
+    s = replace(s, network=replace(net, branches=(net.branches[0], twin)))
+    path = str(tmp_path / "twins.json")
+    save_scenario(s, path)
+    for args in (["validate", path],
+                 ["solve", path, "--out", str(tmp_path / "r")],
+                 ["sweep", path, "--target", "ddgag-x",
+                  "--out", str(tmp_path / "s")]):
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "DUPLICATE_BRANCH: branch ids are not unique" in err
+        assert "Traceback" not in err
 
 
 def test_solve_infeasible_scenario_exits_2(tmp_path, capsys):

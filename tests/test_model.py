@@ -1,23 +1,32 @@
 """Domain model: validation codes, network topology helpers, per-unit view."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, is_dataclass, replace
+from functools import cache
+from typing import get_type_hints
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
+from dsomarket.casestudy import bundled_case_study
 from dsomarket.model import (
     Branch,
     Bus,
+    DdgagConfig,
     DemandBlock,
+    EsagConfig,
+    EvcsConfig,
     Horizon,
     InconsistentTopology,
     Network,
+    Series,
     ZeroBase,
     per_unit_view,
     validate_scenario,
 )
+from oracles import reference_per_unit_view, reference_validate
 
 
 def test_bundled_scenario_is_valid(bundled):
@@ -166,18 +175,6 @@ def test_per_unit_view_zero_base_raises():
         per_unit_view(s)
 
 
-@given(power=st.floats(0.1, 10), price=st.floats(0.1, 10))
-def test_demand_block_scaling_composes(power, price):
-    block = DemandBlock(p_max=3.0, prices=(7.0, 5.0))
-    scaled = block.scaled(power, price)
-    assert scaled.p_max == pytest.approx(3.0 * power)
-    assert scaled.prices[1] == pytest.approx(5.0 * price)
-    # scaling by the inverse restores the block
-    back = scaled.scaled(1.0 / power, 1.0 / price)
-    assert back.p_max == pytest.approx(block.p_max)
-    assert back.prices[0] == pytest.approx(block.prices[0])
-
-
 @given(base=st.floats(0.5, 100))
 def test_per_unit_round_trip_preserves_offer_value(base):
     # price * quantity products are base-invariant
@@ -187,3 +184,126 @@ def test_per_unit_round_trip_preserves_offer_value(base):
     natural = s.offers[name].energy[0] * s.ddgags[0].p_max
     scaled = pu.offers[name].energy[0] * pu.ddgags[0].p_max
     assert scaled == pytest.approx(natural, rel=1e-12)
+
+
+# The oracle corpus: validation must report the same violations (code,
+# message and order) as the hand-written reference on every scenario below.
+ALL_KINDS = ("drag", "esag", "evcs", "ddgag")
+BASES = {
+    "bundled": bundled_case_study(),
+    "all kinds, s_base 7": make_scenario(T=3, kinds=ALL_KINDS, s_base=7.0),
+    "one kind": make_scenario(),
+}
+# 1 is the upper end of a share's range
+VALUES = (-1, 0, 1, 1.5, math.nan, math.inf, -math.inf, -0.0, 1e9)
+
+
+def _number_paths(obj, path=()):
+    """(path, is_series) of every float field and every series of a
+    scenario, through its nested dataclasses, tuples and dicts."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        hint, x = hints[f.name], getattr(obj, f.name)
+        if hint is float or hint == Series:
+            yield path + (f.name,), hint == Series
+        elif isinstance(x, dict):
+            for key, v in x.items():
+                yield from _number_paths(v, path + (f.name, key))
+        elif isinstance(x, tuple):
+            for i, v in enumerate(x):
+                if is_dataclass(v):
+                    yield from _number_paths(v, path + (f.name, i))
+        elif is_dataclass(x):
+            yield from _number_paths(x, path + (f.name,))
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key] if isinstance(obj, (dict, tuple)) else getattr(obj, key)
+    return obj
+
+
+def _set(obj, path, value):
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {**obj, key: _set(obj[key], rest, value)}
+    if isinstance(obj, tuple):
+        return obj[:key] + (_set(obj[key], rest, value),) + obj[key + 1:]
+    return replace(obj, **{key: _set(getattr(obj, key), rest, value)})
+
+
+def _mutations(s):
+    """(path, value) of every number and every series entry set to each of
+    VALUES, and of every series shortened by one."""
+    for path, series in _number_paths(s):
+        if series:
+            xs = _get(s, path)
+            yield path, xs[:-1]
+            for i in range(len(xs)):
+                for v in VALUES:
+                    yield path, xs[:i] + (v,) + xs[i + 1:]
+        else:
+            for v in VALUES:
+                yield path, v
+
+
+@cache
+def _base_mutations(base):
+    return tuple(_mutations(BASES[base]))
+
+
+def _assert_same_violations(s):
+    assert validate_scenario(s).violations == reference_validate(s).violations
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_validation_matches_reference_on_single_mutations(base):
+    s = BASES[base]
+    for path, value in _base_mutations(base):
+        _assert_same_violations(_set(s, path, value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from(sorted(BASES)), data=st.data())
+def test_validation_matches_reference_on_combined_mutations(base, data):
+    s = BASES[base]
+    picks = data.draw(st.lists(st.sampled_from(_base_mutations(base)),
+                               min_size=1, max_size=3))
+    for path, value in picks:
+        s = _set(s, path, value)
+    _assert_same_violations(s)
+
+
+def _int_valued_scenario():
+    """A scenario built in Python with int quantities and prices."""
+    s = make_scenario(T=2, kinds=ALL_KINDS, s_base=3.0)
+    ints = (5, 7)
+    s = replace(
+        s,
+        wholesale=replace(s.wholesale, energy=ints, cap_up=ints),
+        network=replace(s.network, buses=tuple(
+            Bus(b.id, ints, (0, 1)) for b in s.network.buses),
+            branches=tuple(replace(br, pl_max=20, ql_max=20)
+                           for br in s.network.branches)),
+        drags=(replace(s.drags[0], blocks=(DemandBlock(4, ints),),
+                       cap_up_max=(1, 2)),),
+        esags=(EsagConfig("esag-x", 3, 1.0, 1.0, 1, 5, 3, 2, 2),),
+        evcss=(EvcsConfig("evcs-x", 4, (1, 2), 3, 1, 3, 1, 1.0),),
+        ddgags=(DdgagConfig("ddgag-x", 5, 0, 1, 1, 1, 0.33),),
+        offers={**s.offers, "drag-x": replace(s.offers["drag-x"],
+                                              energy=ints)})
+    assert validate_scenario(s).ok
+    return s
+
+
+@pytest.mark.parametrize("scenario", [*BASES.values(), _int_valued_scenario()],
+                         ids=[*BASES, "int-valued"])
+def test_per_unit_view_matches_reference(scenario):
+    pu = per_unit_view(scenario)
+    ref = reference_per_unit_view(scenario)
+    assert pu == ref
+    assert repr(pu) == repr(ref)
+    assert validate_scenario(pu).violations == reference_validate(
+        ref).violations

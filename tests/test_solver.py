@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import math
 import re
 import sys
 import types
@@ -43,6 +44,10 @@ from dsomarket.solver import (
 def test_options_reject_bad_values():
     with pytest.raises(ValueError):
         SolveOptions(relative_gap=0.0)
+    for name in ("feasibility_tol", "integrality_tol", "relative_gap"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolveOptions(**{name: value})
 
 
 def test_lp_known_optimum():
