@@ -207,6 +207,25 @@ def _solve_chunk(args) -> list[SweepCase]:
     return [_solve_case(scenario, target, i, opts, warm) for i in indices]
 
 
+class BadThreadCount(ValueError):
+    """``DSO_THREADS`` is set to something other than a positive integer."""
+
+
+def _env_threads() -> int:
+    """The sweep worker count: ``DSO_THREADS`` if set, else the CPU count."""
+    raw = os.environ.get("DSO_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise BadThreadCount(
+            f"DSO_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def run_sweep(scenario: Scenario, target: str, cases: int = 40,
               opts: SolveOptions | None = None,
               threads: int | None = None) -> SweepResult:
@@ -236,7 +255,7 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     scenario.find_aggregator(target)   # KeyError early if absent
     opts = opts or SolveOptions()
     if threads is None:
-        threads = int(os.environ.get("DSO_THREADS", os.cpu_count() or 1))
+        threads = _env_threads()
     indices = range(1, cases + 1)
     jobs = [(scenario, target, tuple(indices[k:k + CHUNK_CASES]), opts)
             for k in range(0, cases, CHUNK_CASES)]

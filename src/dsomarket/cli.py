@@ -105,6 +105,9 @@ def _cmd_sweep(args) -> int:
     except KeyError:
         print(f"error: no aggregator named {args.target!r}", file=sys.stderr)
         return EXIT_IO
+    except analysis.BadThreadCount as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     failures = [c for c in result.cases if c.status != solver.OPTIMAL]
     for case in failures:
         print(f"case {case.index}: {case.status}"

@@ -376,6 +376,15 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             f"v_min={net.v_min} exceeds v_max={net.v_max}")
     if net.s_base <= 0:
         bad("BASE_NOT_POSITIVE", f"s_base must be > 0, got {net.s_base}")
+    elif math.isfinite(net.s_base):
+        # the voltage rows carry r / s_base and x / s_base, which a tiny
+        # base overflows; non-finite r, x or s_base are reported below
+        for br in net.branches:
+            if any(math.isfinite(v) and not math.isfinite(v / net.s_base)
+                   for v in (br.r, br.x)):
+                bad("BRANCH_PER_UNIT_NOT_FINITE",
+                    f"branch {br.id} r / s_base or x / s_base is not "
+                    f"finite (r={br.r}, x={br.x}, s_base={net.s_base})")
 
     names = list(s.aggregator_names())
     if len(set(names)) != len(names):

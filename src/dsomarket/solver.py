@@ -2,6 +2,11 @@
 
 The LP relaxations are solved by the HiGHS dual simplex bundled with
 scipy, through its private bindings (``scipy.optimize._highspy._core``).
+That extension is loaded straight from its file inside scipy, without
+importing ``scipy.optimize``, whose ``__init__`` would pull in linprog,
+scipy.linalg, scipy.special and more that this package never uses.  When
+the file is not there, or lacks a method the solver calls, importing this
+module raises ImportError naming the scipy version needed.
 Each ``solve_milp`` call loads its relaxation once into one persistent
 HiGHS model with presolve off; every node then only changes the bounds of
 the binary columns it fixes, and the dual simplex restarts from the basis
@@ -19,11 +24,15 @@ branching on the most fractional binary with lowest-index tie-breaking.
 from __future__ import annotations
 
 import heapq
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 OPTIMAL = "Optimal"
@@ -115,15 +124,37 @@ SCIPY_NEEDED = "scipy>=1.17"
 
 
 def highs_bindings():
-    """Import scipy's private HiGHS bindings and check that ``_Highs`` has
-    every method in ``HIGHS_METHODS``; raise ImportError naming the scipy
-    version needed otherwise."""
-    try:
-        core = importlib.import_module(HIGHS_MODULE)
-    except ImportError as exc:
-        raise ImportError(
-            f"dsomarket needs {SCIPY_NEEDED}: cannot import the HiGHS "
-            f"bindings {HIGHS_MODULE} ({exc})") from exc
+    """scipy's private HiGHS bindings, checked to have every method in
+    ``HIGHS_METHODS``; ImportError naming the scipy version needed otherwise.
+
+    A module already in ``sys.modules`` is used as is.  Otherwise the
+    extension is loaded from its file inside scipy, without running
+    ``scipy/optimize/__init__.py`` (linprog, scipy.linalg, scipy.special,
+    ...), and registered under its dotted name, so a later
+    ``import scipy.optimize`` reuses it instead of initialising it again."""
+    if HIGHS_MODULE in sys.modules:
+        core = sys.modules[HIGHS_MODULE]
+        if core is None:
+            raise ImportError(
+                f"dsomarket needs {SCIPY_NEEDED}: cannot import the HiGHS "
+                f"bindings {HIGHS_MODULE} (None in sys.modules)")
+    else:
+        folders = [os.path.join(root, "optimize", "_highspy")
+                   for root in scipy.__path__]
+        files = [os.path.join(folder, "_core" + suffix) for folder in folders
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, files), None)
+        if path is None:
+            raise ImportError(
+                f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings "
+                f"{HIGHS_MODULE} have no _core extension file in "
+                f"{', '.join(folders)}")
+        loader = importlib.machinery.ExtensionFileLoader(HIGHS_MODULE, path)
+        core = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(HIGHS_MODULE, path,
+                                                   loader=loader))
+        loader.exec_module(core)
+        sys.modules[HIGHS_MODULE] = core
     missing = [name for name in HIGHS_METHODS
                if not hasattr(getattr(core, "_Highs", None), name)]
     if missing:

@@ -163,6 +163,20 @@ def test_duplicate_branch_ids_exit_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_tiny_base_exits_1(tmp_path, capsys):
+    # r / s_base and x / s_base overflow to inf in the voltage rows
+    path = _edited_bundled(tmp_path, ("network", "s_base"), 1e-320)
+    for args in (["validate", path],
+                 ["solve", path, "--out", str(tmp_path / "r")],
+                 ["sweep", path, "--target", "ddgag-1",
+                  "--out", str(tmp_path / "s")]):
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "BRANCH_PER_UNIT_NOT_FINITE: branch 1 " in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
 def test_solve_infeasible_scenario_exits_2(tmp_path, capsys):
     # a 50 MW fixed load behind a 20 MW branch cannot be served
     s = make_scenario(T=1, kinds=(), extra_load_bus=True, p_load=50.0)
@@ -200,6 +214,18 @@ def test_sweep_writes_csv(scenario_file, tmp_path, capsys):
 def test_sweep_unknown_target_exits_3(scenario_file, tmp_path, capsys):
     assert cli.main(["sweep", scenario_file, "--target", "nobody",
                      "--out", str(tmp_path / "s")]) == 3
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+def test_sweep_bad_threads_exits_3(scenario_file, tmp_path, monkeypatch,
+                                   capsys, threads):
+    monkeypatch.setenv("DSO_THREADS", threads)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", scenario_file, "--target", "ddgag-x",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: DSO_THREADS must be a positive integer, got {threads!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@
 
 import re
 import tomllib
-from importlib.metadata import metadata
+from importlib.metadata import metadata, requires
 from pathlib import Path
 
 import pytest
@@ -11,9 +11,9 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _floor(spec: str) -> tuple[int, ...]:
-    """The highest ``>=X.Y`` lower bound of a Requires-Python spec."""
-    floors = [tuple(map(int, m)) for m in
-              re.findall(r">=\s*(\d+)\.(\d+)", spec)]
+    """The highest ``>=X.Y[.Z]`` lower bound of a version spec."""
+    floors = [tuple(map(int, m.split("."))) for m in
+              re.findall(r">=\s*(\d+(?:\.\d+)+)", spec)]
     assert floors, f"no >= bound in {spec!r}"
     return max(floors)
 
@@ -25,3 +25,12 @@ def test_python_floor_covers_dependencies(dependency):
     theirs = metadata(dependency)["Requires-Python"]
     assert ours >= _floor(theirs), (
         f"requires-python floor {ours} is below {dependency}'s {theirs}")
+
+
+def test_numpy_floor_covers_scipy():
+    with open(PYPROJECT, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    ours = _floor(next(d for d in deps if d.startswith("numpy")))
+    theirs = next(r for r in requires("scipy") if r.startswith("numpy"))
+    assert ours >= _floor(theirs), (
+        f"numpy floor {ours} is below scipy's {theirs}")

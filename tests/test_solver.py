@@ -3,8 +3,11 @@
 import importlib.util
 import inspect
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -535,3 +538,63 @@ def test_highs_bindings_guard(monkeypatch):
     monkeypatch.setitem(sys.modules, HIGHS_MODULE, None)
     with pytest.raises(ImportError, match=r"scipy>=1\.17"):
         highs_bindings()
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this dsomarket."""
+    src = str(Path(solver.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_import_skips_scipy_optimize():
+    proc = _fresh("""
+        import sys
+        import dsomarket
+        print(sorted(m for m in ("scipy.optimize", "scipy.special",
+                                 "scipy.linalg") if m in sys.modules))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_scipy_optimize_after_dsomarket_shares_bindings():
+    proc = _fresh("""
+        import importlib
+        import numpy as np
+        from dsomarket import solver
+        from scipy.optimize import linprog, milp
+        lp = linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1])
+        ip = milp([1, 1], integrality=[1, 1],
+                  constraints=([[1, 1]], 1.5, np.inf))
+        core = importlib.import_module(solver.HIGHS_MODULE)
+        print(lp.status, lp.fun, ip.status, ip.fun,
+              core is solver.highs_bindings())
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1.0", "0", "2.0", "True"]
+
+
+def test_dsomarket_after_scipy_optimize_reuses_bindings():
+    proc = _fresh("""
+        import scipy.optimize._highspy._core as core
+        from dsomarket import solver
+        print(core is solver.highs_bindings())
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
+def test_missing_bindings_file_names_scipy_version():
+    proc = _fresh("""
+        import importlib.machinery
+        importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+        import dsomarket
+    """)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: dsomarket needs scipy>=1.17")
+    assert os.path.join("scipy", "optimize", "_highspy") in last
