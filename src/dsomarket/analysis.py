@@ -170,11 +170,7 @@ def _case_problem(case: Scenario, base: MilpProblem | None) -> MilpProblem:
     if not report.ok:
         raise ScenarioValidationError(report)
     energy, capacity, mileage = prices = settlement_prices(case, base.registry)
-    problem = replace(base, objective=energy + capacity + mileage,
-                      prices=prices)
-    # share the assembled matrix too: the HiGHS model holds these arrays
-    vars(problem)["relaxation_arrays"] = base.relaxation_arrays
-    return problem
+    return replace(base, objective=energy + capacity + mileage, prices=prices)
 
 
 def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,

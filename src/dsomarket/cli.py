@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
     }
     bundle = scenario_io.ResultBundle(
         scenario=scenario, schedule=schedule, revenue=revenue, stats=stats,
-        input_hash=scenario_io.scenario_hash(scenario))
+        input_hash=schedule.scenario_hash)     # hashed once, by decode
     scenario_io.export_results(bundle, args.out)
     return EXIT_OK
 

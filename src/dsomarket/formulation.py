@@ -11,10 +11,12 @@ families) block, each constraint family emits one kind of row for every
 entity and hour at once as (row, column, coefficient) arrays, and the
 price table is filled by fancy indexing over the same column arrays.  The
 compiled :class:`MilpProblem` holds the constraints as one sparse matrix
-``A`` (CSR, rows in build order) with a ``sense``, ``rhs`` and name per
-row; the LP relaxation, the residual checks and the MPS export all read
-that matrix.  Also decodes raw solver vectors back into a
-:class:`Schedule`.
+``A`` (:class:`~dsomarket.csr.Csr`: numpy CSR arrays, rows in build
+order) with a ``sense``, ``rhs`` and name per row; the LP relaxation, the
+residual checks and the MPS export all read that matrix.  Only
+``relaxation_arrays``, a view kept for callers outside the package,
+builds scipy's sparse matrices.  Also decodes raw solver vectors back into
+a :class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
+from .csr import Csr
 from .model import (
     KIND_DDGAG,
     KIND_DRAG,
@@ -191,15 +193,15 @@ class Constraints:
 
     def assemble(self, num_cols: int):
         """(A, sense, rhs): the rows as a CSR matrix, each row's entries in
-        column order, and each row's sense and right-hand side."""
+        column order, and each row's sense and right-hand side.  Two
+        entries at one position raise ValueError."""
         m = len(self.names)
         sense, rhs = np.empty(m, dtype="<U2"), np.empty(m)
         for at, s, b in self._sides:
             sense[at], rhs[at] = s, b
         row, col, coef = (np.concatenate([e[k].ravel() for e in self._entries])
                           for k in range(3))
-        A = sparse.csr_matrix((coef, (row, col)), shape=(m, num_cols))
-        return A, sense, rhs
+        return Csr.from_entries(row, col, coef, (m, num_cols)), sense, rhs
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ class MilpProblem:
     row i reads ``A[i] @ x  (sense[i])  rhs[i]``."""
 
     objective: np.ndarray
-    A: sparse.csr_matrix
+    A: Csr
     sense: np.ndarray                # LE, GE or EQ per row
     rhs: np.ndarray
     row_names: tuple[str, ...]
@@ -223,21 +225,33 @@ class MilpProblem:
     def num_cols(self) -> int:
         return len(self.objective)
 
-    @cached_property
-    def relaxation_arrays(self):
-        """(A_ub, b_ub, A_eq, b_eq) as CSR matrices for the LP relaxation,
-        with each >= row negated into a <= row; an empty block is None."""
+    def relaxation_rows(self):
+        """(A_ub, b_ub, A_eq, b_eq) for the LP relaxation: the <= and >=
+        rows, each >= row negated into a <= row, then the == rows, each
+        block in build order; an empty block is None."""
         sign = np.where(self.sense == GE, -1.0, 1.0)
         eq = self.sense == EQ
 
-        def block(mask):
-            if not mask.any():
-                return None
-            rows = self.A[mask]
-            rows.data *= np.repeat(sign[mask], np.diff(rows.indptr))
-            return rows
+        def block(keep):
+            return self.A.rows(keep, sign) if keep.any() else None
 
         return (block(~eq), (sign * self.rhs)[~eq], block(eq), self.rhs[eq])
+
+    @cached_property
+    def relaxation_arrays(self):
+        """:meth:`relaxation_rows` with scipy CSR matrices for blocks.  The
+        package does not read it; it is here for the benchmark's checks and
+        tracer, and it is the package's only import of scipy's sparse
+        module."""
+        from scipy import sparse
+
+        A_ub, b_ub, A_eq, b_eq = self.relaxation_rows()
+
+        def matrix(A):
+            return None if A is None else sparse.csr_matrix(
+                (A.data, A.indices, A.indptr), shape=A.shape)
+
+        return matrix(A_ub), b_ub, matrix(A_eq), b_eq
 
     def row_residuals(self, x: np.ndarray) -> np.ndarray:
         """Violation of each row by x (zero where it holds), aligned with

@@ -31,6 +31,11 @@ FLEETS = {KIND_DRAG: "drags", KIND_ESAG: "esags", KIND_EVCS: "evcss",
 POWER = "power"         # MW, MVAr or MWh
 PRICE = "price"         # $/MW or $/MWh
 
+# Largest |r / s_base| or |x / s_base| a branch may carry into the voltage
+# rows.  HiGHS mis-solves matrix values near 1e12 (model status Unknown) and
+# refuses to load larger ones; 1e7 still solves.
+MAX_PER_UNIT_IMPEDANCE = 1e9
+
 # Series check kinds -> rules (test every entry must pass, code, message),
 # tried in order after the length check; the first rule failed is reported.
 _FINITE = (math.isfinite, "PRICE_NOT_FINITE", "contains non-finite values")
@@ -378,13 +383,20 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         bad("BASE_NOT_POSITIVE", f"s_base must be > 0, got {net.s_base}")
     elif math.isfinite(net.s_base):
         # the voltage rows carry r / s_base and x / s_base, which a tiny
-        # base overflows; non-finite r, x or s_base are reported below
+        # base overflows or makes too large for HiGHS; non-finite r, x or
+        # s_base are reported below
         for br in net.branches:
-            if any(math.isfinite(v) and not math.isfinite(v / net.s_base)
-                   for v in (br.r, br.x)):
+            per_unit = [abs(v / net.s_base) for v in (br.r, br.x)
+                        if math.isfinite(v)]
+            values = f"(r={br.r}, x={br.x}, s_base={net.s_base})"
+            if not all(map(math.isfinite, per_unit)):
                 bad("BRANCH_PER_UNIT_NOT_FINITE",
                     f"branch {br.id} r / s_base or x / s_base is not "
-                    f"finite (r={br.r}, x={br.x}, s_base={net.s_base})")
+                    f"finite {values}")
+            elif max(per_unit, default=0.0) > MAX_PER_UNIT_IMPEDANCE:
+                bad("BRANCH_PER_UNIT_TOO_LARGE",
+                    f"branch {br.id} |r / s_base| or |x / s_base| exceeds "
+                    f"{MAX_PER_UNIT_IMPEDANCE:g} {values}")
 
     names = list(s.aggregator_names())
     if len(set(names)) != len(names):

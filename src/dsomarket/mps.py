@@ -77,18 +77,18 @@ def _chunks(problem: MilpProblem, name: str) -> Iterator[str]:
     yield _join([_SENSE[s] for s in problem.sense.tolist()], rows[:m], "\n")
 
     # per column: the objective if nonzero or alone, then the matrix entries
-    A = problem.A.tocsc()
-    nnz = np.diff(A.indptr)
+    indptr, indices, data = problem.A.csc()
+    nnz = np.diff(indptr)
     lo, hi = problem.lower, problem.upper
     num_cost, num_a, num_rhs, num_lo, num_hi = _texts(
-        problem.objective, A.data, problem.rhs, lo, hi)
+        problem.objective, data, problem.rhs, lo, hi)
     costed = (problem.objective != 0.0) | (nnz == 0)
     start = np.concatenate(([0], np.cumsum(nnz + costed)))
     col = np.repeat(np.arange(n), nnz + costed)
     pos = np.arange(start[-1]) - start[col]
     in_matrix = pos >= costed[col]
     row = np.full(start[-1], m)
-    row[in_matrix] = A.indices
+    row[in_matrix] = indices
     num = num_cost[col]
     num[in_matrix] = num_a
 

@@ -6,7 +6,10 @@ That extension is loaded straight from its file inside scipy, without
 importing ``scipy.optimize``, whose ``__init__`` would pull in linprog,
 scipy.linalg, scipy.special and more that this package never uses.  When
 the file is not there, or lacks a method the solver calls, importing this
-module raises ImportError naming the scipy version needed.
+module raises ImportError naming the scipy version needed.  That extension
+is all this module takes from scipy: the rows are handed to HiGHS as
+numpy arrays, by columns, from one stable sort of the CSR entries
+(:meth:`~dsomarket.csr.Csr.csc`).
 Each ``solve_milp`` call loads its relaxation once into one persistent
 HiGHS model with presolve off; every node then only changes the bounds of
 the binary columns it fixes, and the dual simplex restarts from the basis
@@ -33,7 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
-from scipy import sparse
+
+from .csr import Csr
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -103,15 +107,42 @@ def _finite(name: str, values) -> np.ndarray:
 def _row_block(kind: str, A, b, n: int):
     """The rows ``A_kind x (<= or ==) b_kind`` as (CSR matrix, rhs), checked
     to be m x n and m long: HiGHS reads its buffers by the counts given.
-    A missing matrix or right-hand side stands for zero rows."""
-    A = sparse.csr_array((0, n)) if A is None else sparse.csr_array(A)
+    ``A`` is a dense array-like, whose nonzeros are kept, or a sparse
+    matrix with CSR arrays (a :class:`Csr`, or a scipy matrix, taken by its
+    ``tocsr()``).  A missing matrix or right-hand side stands for zero
+    rows."""
     b = _finite(f"b_{kind}", np.empty(0) if b is None else b)
-    if A.ndim != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
+    if A is None:
+        A = Csr(np.zeros(1, np.int32), np.empty(0, np.int32), np.empty(0),
+                (0, n))
+    elif hasattr(A, "tocsr"):
+        A = A.tocsr()
+    elif not isinstance(A, Csr):
+        dense = np.asarray(A, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"A_{kind} must be 2-D, got shape {dense.shape}")
+        row, col = np.nonzero(dense)
+        A = Csr.from_entries(row, col, dense[row, col], dense.shape)
+    if len(A.shape) != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
         raise ValueError(
             f"A_{kind} has shape {A.shape} and b_{kind} {b.shape}; "
             f"expected (m, {n}) and (m,)")
     _finite(f"A_{kind}", A.data)
     return A, b
+
+
+def _model_rows(form: LpStandardForm, n: int) -> tuple:
+    """The rows HiGHS is loaded with: (row lower bounds, row upper bounds,
+    column starts, row indices, values) of the <= rows over the == rows,
+    the matrix by columns."""
+    A_ub, b_ub = _row_block("ub", form.A_ub, form.b_ub, n)
+    A_eq, b_eq = _row_block("eq", form.A_eq, form.b_eq, n)
+    A = Csr(np.concatenate([A_ub.indptr, A_ub.indptr[-1] + A_eq.indptr[1:]]),
+            np.concatenate([A_ub.indices, A_eq.indices]),
+            np.concatenate([A_ub.data, A_eq.data]),
+            (len(b_ub) + len(b_eq), n))
+    return (np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+            np.concatenate([b_ub, b_eq]), *A.csc())
 
 
 # Every method of the private ``_Highs`` class that HighsLp calls.  They are
@@ -168,10 +199,11 @@ class HighsLp:
     """One LP held by a HiGHS instance, re-solved after bound changes.
 
     The first ``solve`` loads the form; later calls must pass forms with
-    the same objective and constraint arrays and change only the column
-    bounds.  Only the columns whose bounds differ from the loaded ones are
-    sent to HiGHS, and the dual simplex restarts from the basis the last
-    solve left.  The objective changes only through ``change_costs``.
+    the same objective and the same (or equal) constraint arrays and change
+    only the column bounds.  Only the columns whose bounds differ from the
+    loaded ones are sent to HiGHS, and the dual simplex restarts from the
+    basis the last solve left.  The objective changes only through
+    ``change_costs``.
     This class is the package's only user of the private HiGHS bindings.
     """
 
@@ -183,6 +215,7 @@ class HighsLp:
         self._opts = opts
         self._presolve = presolve
         self._form: LpStandardForm | None = None
+        self._rows: tuple = ()      # what _model_rows gave the held form
         self._lower = self._upper = None
         self._highs = self._core._Highs()
         tol = max(min(opts.feasibility_tol, 1e-9), 1e-10)
@@ -203,20 +236,16 @@ class HighsLp:
     def _load(self, form: LpStandardForm, lower, upper) -> None:
         c = _finite("c", form.c)
         n = len(c)
-        A_ub, b_ub = _row_block("ub", form.A_ub, form.b_ub, n)
-        A_eq, b_eq = _row_block("eq", form.A_eq, form.b_eq, n)
-        A = sparse.vstack([A_ub, A_eq], format="csc")
+        rows = row_lower, row_upper, start, index, value = _model_rows(form, n)
         self._check(self._highs.passModel(
-            n, A.shape[0], A.nnz,
+            n, len(row_lower), len(value),
             1, 1, 0.0,      # column-wise matrix, minimise, no offset
-            c, lower, upper,
-            np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-            np.concatenate([b_ub, b_eq]),
-            A.indptr.astype(np.int32), A.indices.astype(np.int32),
-            A.data.astype(float),
+            c, lower, upper, row_lower, row_upper,
+            start.astype(np.int32), index.astype(np.int32),
+            value.astype(float),
             np.zeros(n, dtype=np.int32)),    # every column continuous
             "loading the model")
-        self._form = form
+        self._form, self._rows = form, rows
 
     @property
     def loaded(self) -> bool:
@@ -241,10 +270,20 @@ class HighsLp:
         self._form = replace(self._form, c=c)
 
     def _same_lp(self, form: LpStandardForm) -> bool:
+        """Whether ``form`` is the held LP: the held ``c`` object, and the
+        held constraint objects or equal rows (as each case of a sweep
+        gives them, from its own problem object)."""
         held = self._form
-        return all(a is b for a, b in zip(
-            (form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq),
-            (held.c, held.A_ub, held.b_ub, held.A_eq, held.b_eq)))
+        if form.c is not held.c:
+            return False
+        blocks = ("A_ub", "b_ub", "A_eq", "b_eq")
+        if all(getattr(form, k) is getattr(held, k) for k in blocks):
+            return True
+        rows = _model_rows(form, len(form.c))
+        if not all(map(np.array_equal, rows, self._rows)):
+            return False
+        self._form = form
+        return True
 
     def _set_bounds(self, lower, upper) -> None:
         changed = np.flatnonzero((lower != self._lower)
@@ -363,7 +402,7 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     int_cols = _check_binary_mask(problem)
-    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
+    A_ub, b_ub, A_eq, b_eq = problem.relaxation_rows()
     c = problem.objective
     base_lower = problem.lower
     base_upper = problem.upper

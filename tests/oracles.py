@@ -20,6 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from dsomarket.csr import Csr
 from dsomarket.formulation import EQ, GE, LE, MilpProblem, VariableRegistry
 from dsomarket.model import (
     KIND_DRAG,
@@ -37,6 +38,18 @@ from dsomarket.model import (
 )
 
 
+def package_csr(A, shape=None) -> Csr:
+    """The package's matrix holding the CSR arrays of
+    ``scipy.sparse.csr_matrix(A, shape)``."""
+    A = sparse.csr_matrix(A, shape=shape)
+    return Csr(A.indptr, A.indices, A.data, A.shape)
+
+
+def scipy_csr(A: Csr) -> sparse.csr_matrix:
+    """A scipy CSR matrix built from the arrays of the package's ``A``."""
+    return sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def make_problem(c, A, senses, b, lower, upper, integrality) -> MilpProblem:
     """Wrap arrays as a MilpProblem for solver-level tests.  Every entry
     of a dense ``A`` is kept, explicit zeros included; a sparse ``A`` is
@@ -50,7 +63,7 @@ def make_problem(c, A, senses, b, lower, upper, integrality) -> MilpProblem:
         A = (A.ravel(), (rows.ravel(), cols.ravel()))
     return MilpProblem(
         objective=np.asarray(c, dtype=float),
-        A=sparse.csr_matrix(A, shape=(len(b), len(c))),
+        A=package_csr(A, shape=(len(b), len(c))),
         sense=np.array(senses),
         rhs=np.asarray(b, dtype=float),
         row_names=tuple(f"row{i}" for i in range(len(b))),
@@ -149,7 +162,7 @@ def reference_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
     lines += [f" {sense[s]}  {r}" for s, r in zip(problem.sense, rows)]
 
-    A = problem.A.tocsc()
+    A = scipy_csr(problem.A).tocsc()
     entries = [f"{rows[i]:<10}{num(coef):>15}"
                for i, coef in zip(A.indices.tolist(), A.data.tolist())]
     starts = A.indptr.tolist()
@@ -231,8 +244,8 @@ def reference_build(s: Scenario) -> MilpProblem:
     energy, capacity, mileage = _reference_prices(s, reg)
     return MilpProblem(
         objective=energy + capacity + mileage,
-        A=sparse.csr_matrix((rows.coef, (rows.row, rows.col)),
-                            shape=(len(rows.names), len(reg))),
+        A=package_csr((rows.coef, (rows.row, rows.col)),
+                      shape=(len(rows.names), len(reg))),
         sense=np.array(rows.senses),
         rhs=np.array(rows.rhs, dtype=float),
         row_names=tuple(rows.names),

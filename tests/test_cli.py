@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DELETE, edit, make_scenario
-from dsomarket import cli, solver
+from dsomarket import analysis, cli, formulation, scenario_io, solver
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.scenario_io import save_scenario, scenario_to_dict
 
@@ -175,6 +175,49 @@ def test_tiny_base_exits_1(tmp_path, capsys):
         assert "BRANCH_PER_UNIT_NOT_FINITE: branch 1 " in err
         assert "Traceback" not in err
     assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("s_base", [1e-14, 1e-300])
+def test_huge_per_unit_impedance_exits_1(tmp_path, capsys, s_base):
+    # r / s_base and x / s_base are finite, 1e12 and 1e298: HiGHS reports
+    # model status Unknown on the first and cannot load the second
+    path = _edited_bundled(tmp_path, ("network", "s_base"), s_base)
+    for args in (["validate", path],
+                 ["solve", path, "--out", str(tmp_path / "r")],
+                 ["sweep", path, "--target", "ddgag-1",
+                  "--out", str(tmp_path / "s")]):
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "BRANCH_PER_UNIT_TOO_LARGE: branch 1 " in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
+def test_small_base_within_limit_solves(tmp_path, capsys):
+    # r / s_base = 1e7, under MAX_PER_UNIT_IMPEDANCE
+    path = _edited_bundled(tmp_path, ("network", "s_base"), 1e-9)
+    assert cli.main(["validate", path]) == 0
+    assert cli.main(["solve", path, "--out", str(tmp_path / "r")]) == 0
+    assert "PER_UNIT" not in capsys.readouterr().err
+
+
+def test_solve_hashes_the_scenario_once(tmp_path, monkeypatch):
+    hashed = []
+    real = scenario_io.scenario_hash
+
+    def counted(scenario):
+        hashed.append(scenario)
+        return real(scenario)
+
+    for module in (scenario_io, formulation, analysis):
+        monkeypatch.setattr(module, "scenario_hash", counted)
+    path = str(tmp_path / "bundled.json")
+    assert cli.main(["bundled", "--out", path]) == 0
+    assert cli.main(["solve", path, "--out", str(tmp_path / "r")]) == 0
+    assert len(hashed) == 1
+    with open(tmp_path / "r" / "solve.json") as fh:
+        assert json.load(fh)["input_hash"] == (
+            "29bd8148b4fac62dbe842d8b6885923cd80886b25d1ba314483503581eb6c0d0")
 
 
 def test_solve_infeasible_scenario_exits_2(tmp_path, capsys):

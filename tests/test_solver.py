@@ -561,6 +561,28 @@ def test_import_skips_scipy_optimize():
     assert proc.stdout.split() == ["[]"]
 
 
+def test_commands_skip_scipy_sparse(tmp_path):
+    # the matrix, the HiGHS load and the MPS export use numpy arrays only
+    scenario, out = str(tmp_path / "bundled.json"), str(tmp_path / "out")
+    proc = _fresh(f"""
+        import sys
+        import dsomarket
+        from dsomarket import analysis, cli
+        loaded = ["scipy.sparse" in sys.modules]
+        assert cli.main(["bundled", "--out", {scenario!r}]) == 0
+        assert cli.main(["solve", {scenario!r}, "--out", {out!r}]) == 0
+        loaded.append("scipy.sparse" in sys.modules)
+        result = analysis.run_sweep(
+            dsomarket.load_scenario({scenario!r}), "ddgag-1",
+            cases=2 * analysis.CHUNK_CASES, threads=1)
+        assert {{case.status for case in result.cases}} == {{"Optimal"}}
+        loaded.append("scipy.sparse" in sys.modules)
+        print(*loaded)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
 def test_scipy_optimize_after_dsomarket_shares_bindings():
     proc = _fresh("""
         import importlib

@@ -24,6 +24,9 @@ def test_tracer_installs_and_uninstalls():
     try:
         tracer.install()
         analysis.run_sweep(make_scenario(T=1), "ddgag-x", cases=2, threads=1)
+        # as bench/passes.py does after each pass; the sweep itself does
+        # not read relaxation_arrays, the counters below do
+        tracer.size_problems()
     finally:
         tracer.uninstall()
     assert (formulation.build, analysis.decode, analysis.compute_revenue,
@@ -37,3 +40,4 @@ def test_tracer_installs_and_uninstalls():
     count = tracer.counters
     assert count["solver.nodes"] > 0 and count["solver.lp_iterations"] > 0
     assert count["solver.nodes_to_first_incumbent"] <= count["solver.nodes"]
+    assert count["formulation.rows"] > 0 and count["formulation.nnz"] > 0
