@@ -14,7 +14,6 @@ payments of its substation columns, reported with income positive.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .model import (
     validate_scenario,
 )
 from .scenario_io import fmt, scenario_hash
-from .solver import OPTIMAL, HighsLp, SolveOptions, solve_milp
+from .solver import OPTIMAL, BadStart, HighsLp, SolveOptions, solve_milp
 
 
 class StaleSchedule(ValueError):
@@ -181,8 +180,13 @@ def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,
         problem = _case_problem(case, warm.base)
         if warm.model is None:
             warm.base, warm.model = problem, HighsLp(opts)
-        solution = solve_milp(problem, opts, model=warm.model,
-                              start=warm.start)
+        try:
+            solution = solve_milp(problem, opts, model=warm.model,
+                                  start=warm.start)
+        except BadStart:
+            # the last optimum is only a hint; on badly scaled rows it can
+            # miss this case's rows by more than the feasibility tolerance
+            solution = solve_milp(problem, opts, model=warm.model)
         if solution.status != OPTIMAL:
             warm.reset()
             return SweepCase(i, multiplier, solution.status,
@@ -256,6 +260,10 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     jobs = [(scenario, target, tuple(indices[k:k + CHUNK_CASES]), opts)
             for k in range(0, cases, CHUNK_CASES)]
     if threads > 1 and len(jobs) > 1:
+        # imported here, as only a parallel sweep starts worker processes:
+        # the import costs every other command about 1 MB and 25 modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             chunks = list(pool.map(_solve_chunk, jobs))
     else:

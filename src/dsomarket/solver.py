@@ -22,6 +22,12 @@ search with the previous optimum.
 The branch-and-bound search on top is our own and has one form,
 ``SEARCH``: best-first node order with insertion-order tie-breaking,
 branching on the most fractional binary with lowest-index tie-breaking.
+Before it branches, the root adds rounds of Gomory mixed-integer cuts
+read off the HiGHS tableau.  The cut rows live only in the HiGHS model,
+never in the problem's matrix, so a model shared by the cases of a sweep
+keeps them for every case: they depend only on the constraints, which
+the cases share.  A cut that a known feasible point shows wrong, and an
+LP status HiGHS cannot explain, make the model start again without cuts.
 """
 
 from __future__ import annotations
@@ -45,12 +51,29 @@ UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NODE_LIMIT = "NodeLimit"
 
+# Gomory cut separation at the root: at most CUT_ROUNDS rounds per solve,
+# each from the tableau rows of at most CUT_SOURCES binaries that are basic
+# at least CUT_AWAY from an integer.  A cut is kept if its coefficients span
+# at most CUT_DYNAMISM and it cuts the LP point off by CUT_EFFICACY (in units
+# of the cut's norm).  Constants, not options, like analysis.CHUNK_CASES.
+CUT_ROUNDS = 8
+CUT_SOURCES = 50
+CUT_AWAY = 1e-3
+CUT_DYNAMISM = 1e6
+CUT_EFFICACY = 1e-6
+
 # the search solve_milp runs, as solve.json records it
-SEARCH = {"node_order": "best-first", "branch_rule": "most-fractional"}
+SEARCH = {"node_order": "best-first", "branch_rule": "most-fractional",
+          "cut_rule": "gomory-mixed-integer at the root",
+          "cut_rounds": CUT_ROUNDS}
 
 
 class SolverError(RuntimeError):
     """The LP backend reported numerical trouble."""
+
+
+class BadStart(ValueError):
+    """A ``start`` given to ``solve_milp`` is not a point of the problem."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +172,9 @@ def _model_rows(form: LpStandardForm, n: int) -> tuple:
 # checked when this module is imported, so a scipy without them fails there.
 HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds",
                  "changeColsCost", "run", "getModelStatus",
-                 "modelStatusToString", "getInfo", "getSolution")
+                 "modelStatusToString", "getInfo", "getSolution",
+                 "getBasicVariables", "getReducedRow", "getBasisInverseRow",
+                 "addRows")
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 SCIPY_NEEDED = "scipy>=1.17"
 
@@ -203,7 +228,9 @@ class HighsLp:
     only the column bounds.  Only the columns whose bounds differ from the
     loaded ones are sent to HiGHS, and the dual simplex restarts from the
     basis the last solve left.  The objective changes only through
-    ``change_costs``.
+    ``change_costs``, and rows beyond the form's only through
+    ``separate_cuts``.  A solve that ends in a status other than the four
+    verdicts is run once more on a fresh, cut-free instance.
     This class is the package's only user of the private HiGHS bindings.
     """
 
@@ -214,13 +241,21 @@ class HighsLp:
     def __init__(self, opts: SolveOptions, presolve: bool = False) -> None:
         self._opts = opts
         self._presolve = presolve
+        self.drop_cuts()
+
+    def drop_cuts(self) -> None:
+        """Forget the held LP, its cuts and its basis: the next ``solve``
+        loads its form into a fresh HiGHS instance."""
         self._form: LpStandardForm | None = None
         self._rows: tuple = ()      # what _model_rows gave the held form
+        self._entry_cols = None     # the column of each entry of _rows
         self._lower = self._upper = None
+        self._optimal_basis = False   # whether the last solve ended optimal
+        self._cuts: tuple = ()
         self._highs = self._core._Highs()
-        tol = max(min(opts.feasibility_tol, 1e-9), 1e-10)
+        tol = max(min(self._opts.feasibility_tol, 1e-9), 1e-10)
         for name, value in (("output_flag", False),
-                            ("presolve", "on" if presolve else "off"),
+                            ("presolve", "on" if self._presolve else "off"),
                             ("solver", "simplex"),
                             ("simplex_strategy", 1),    # dual simplex
                             ("primal_feasibility_tolerance", tol),
@@ -250,6 +285,13 @@ class HighsLp:
     @property
     def loaded(self) -> bool:
         return self._form is not None
+
+    @property
+    def cuts(self) -> tuple:
+        """The cut rows the model holds beyond the LP's own, in the order
+        ``separate_cuts`` added them: ``(columns, coefficients, lower)``
+        each, for the row ``coefficients @ x[columns] >= lower``."""
+        return self._cuts
 
     def change_costs(self, c) -> None:
         """Make ``c`` the objective of the loaded LP.  Only the columns whose
@@ -313,6 +355,7 @@ class HighsLp:
                 f"{lower.shape}, upper {upper.shape}")
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("LP column bounds must not contain nan")
+        self._optimal_basis = False
         if self._form is None:
             self._load(form, lower, upper)
         elif self._same_lp(form):
@@ -323,6 +366,16 @@ class HighsLp:
         self._lower, self._upper = lower, upper
         model_status, iterations = self._run()
         ambiguous = model_status.name == "kUnboundedOrInfeasible"
+        if model_status.name not in self._VERDICTS and not (
+                ambiguous and not self._presolve):
+            # a warm model, or its cuts, can lose its way (status Unknown on
+            # badly scaled rows): solve once more on a fresh, cut-free one
+            self.drop_cuts()
+            self._load(form, lower, upper)
+            self._lower, self._upper = lower, upper
+            model_status, more = self._run()
+            iterations += more
+            ambiguous = model_status.name == "kUnboundedOrInfeasible"
         if ambiguous and not self._presolve:
             # the dual simplex alone cannot tell which; presolve can
             cold = HighsLp(self._opts, presolve=True).solve(form)
@@ -337,10 +390,158 @@ class HighsLp:
         if status != OPTIMAL:
             objective = -np.inf if status == UNBOUNDED else np.inf
             return LpResult(status, None, objective, iterations)
+        self._optimal_basis = True
         return LpResult(
             status, np.asarray(self._highs.getSolution().col_value),
             float(self._highs.getInfo().objective_function_value),
             iterations)
+
+    def _clean_cut(self, g: np.ndarray, beta: float, x: np.ndarray,
+                   known) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The cut ``g @ x >= beta`` as (columns, coefficients, lower bound),
+        scaled to a largest coefficient of 1, with each coefficient below
+        ``1 / CUT_DYNAMISM`` dropped and the lower bound relaxed by the most
+        its term can reach within the column bounds; None if that is
+        unbounded, or if the cut cuts ``x`` off by less than
+        ``CUT_EFFICACY`` or cuts off a point of ``known``."""
+        cols = np.flatnonzero(g)
+        coefs = g[cols]
+        scale = np.max(np.abs(coefs), initial=0.0)
+        if not (0.0 < scale < np.inf and np.isfinite(beta)):
+            return None
+        coefs /= scale
+        beta /= scale
+        tiny = np.abs(coefs) < 1.0 / CUT_DYNAMISM
+        small, at = coefs[tiny], cols[tiny]
+        reach = np.where(small > 0, small * self._upper[at],
+                         small * self._lower[at])
+        if not np.isfinite(reach).all():
+            return None
+        beta -= reach.sum()
+        cols, coefs = cols[~tiny], coefs[~tiny]
+        if beta - coefs @ x[cols] < CUT_EFFICACY * np.linalg.norm(coefs):
+            return None
+        tol = self._opts.feasibility_tol
+        if any(coefs @ point[cols] < beta - tol for point in known):
+            return None
+        return cols, coefs, beta
+
+    def separate_cuts(self, int_cols: np.ndarray, x: np.ndarray,
+                      known=()) -> int:
+        """Add Gomory mixed-integer (GMI) cuts read off the optimal basis of
+        the last solve, and return how many were added.  That solve must
+        have run under the LP's own column bounds, as at the root of a
+        search, and ``x`` must be its solution; ``int_cols`` are the binary
+        columns.
+
+        Each binary basic at a fractional value ``x_b`` gives one tableau
+        row ``x_b + sum_j a_j y_j = x_b*`` over the distances ``y_j >= 0``
+        of the nonbasic columns and row activities from the bounds they sit
+        at, and from it the cut ``sum_j pi_j y_j >= 1`` (Balas, Ceria,
+        Cornuejols & Natraj 1996), written back over the columns.  A cut is
+        kept only if its coefficients span at most ``CUT_DYNAMISM``, it cuts
+        ``x`` off by at least ``CUT_EFFICACY``, and every point of ``known``
+        (feasible points of the MILP) satisfies it.  The kept cuts reach
+        HiGHS in one ``addRows`` and stay until ``drop_cuts``."""
+        if not self._optimal_basis:
+            return 0
+        status, basic = self._highs.getBasicVariables()
+        self._check(status, "reading the basis")
+        n = len(x)
+        row_lower, row_upper, start, index, value = self._rows
+        held = len(row_lower)
+        if self._entry_cols is None:
+            self._entry_cols = np.repeat(np.arange(n), np.diff(start))
+        row_lower = np.concatenate([row_lower, [cut[2] for cut in self._cuts]])
+        row_upper = np.concatenate([row_upper,
+                                    np.full(len(self._cuts), np.inf)])
+        col_basic = np.zeros(n, dtype=bool)
+        col_basic[basic[basic >= 0]] = True
+        row_basic = np.zeros(len(row_lower), dtype=bool)
+        row_basic[-1 - basic[basic < 0]] = True
+        # each nonbasic column and row activity is bound + d * y, with
+        # d = 1 at its lower bound, -1 at its upper and 0 where it cannot move
+        col_d, col_bound, col_free = _nonbasic_steps(
+            x, self._lower, self._upper, col_basic)
+        row_d, row_bound, row_free = _nonbasic_steps(
+            np.asarray(self._highs.getSolution().row_value),
+            row_lower, row_upper, row_basic)
+        integral = np.zeros(n, dtype=bool)
+        integral[int_cols] = True
+        # the binaries whose distance from their bound is a whole number
+        steps_whole = integral & (col_bound == np.round(col_bound))
+        frac = x - np.floor(x)
+        position = np.flatnonzero(basic >= 0)
+        source = basic[position]
+        away = np.minimum(frac[source], 1.0 - frac[source])
+        pick = integral[source] & (away > CUT_AWAY)
+        position, source, away = position[pick], source[pick], away[pick]
+        order = np.argsort(-away, kind="stable")[:CUT_SOURCES]
+        cuts = []
+        for i, b in zip(position[order].tolist(), source[order].tolist()):
+            status, reduced = self._highs.getReducedRow(i)
+            self._check(status, "reading a tableau row")
+            status, inverse = self._highs.getBasisInverseRow(i)
+            self._check(status, "reading a tableau row")
+            if reduced[col_free].any() or inverse[row_free].any():
+                continue    # a free nonbasic variable has no bound to cut at
+            # the row's nonbasic terms: a_j = reduced_j d_j for columns and
+            # -inverse_j d_j for row activities
+            jc = np.flatnonzero(reduced * col_d)
+            jr = np.flatnonzero(inverse * row_d)
+            pi_col = _gmi(reduced[jc] * col_d[jc], frac[b], steps_whole[jc])
+            pi_row = _gmi(-inverse[jr] * row_d[jr], frac[b], False)
+            # pi_j y_j = w_j (v_j - bound_j) with w_j = pi_j d_j, and a row's
+            # activity v_j is its row of the matrix times the columns
+            w_col = np.zeros(n)
+            w_col[jc] = pi_col * col_d[jc]
+            w_row = np.zeros(len(row_d))
+            w_row[jr] = pi_row * row_d[jr]
+            beta = 1.0 + w_col @ col_bound + w_row @ row_bound
+            g = w_col + np.bincount(self._entry_cols,
+                                    weights=value * w_row[index], minlength=n)
+            for (cols, coefs, _), w in zip(self._cuts, w_row[held:]):
+                if w:
+                    g[cols] += w * coefs
+            cut = self._clean_cut(g, beta, x, known)
+            if cut is not None:
+                cuts.append(cut)
+        if not cuts:
+            return 0
+        cols, coefs, lower = zip(*cuts)
+        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
+        self._check(self._highs.addRows(
+            len(cuts), np.array(lower), np.full(len(cuts), np.inf),
+            int(starts[-1] + len(cols[-1])), starts.astype(np.int32),
+            np.concatenate(cols).astype(np.int32), np.concatenate(coefs)),
+            "adding cuts")
+        self._cuts += tuple(cuts)
+        self._optimal_basis = False
+        return len(cuts)
+
+
+def _gmi(a: np.ndarray, f0: float, integer) -> np.ndarray:
+    """The coefficients ``pi`` of the GMI cut ``sum_j pi_j y_j >= 1`` from
+    the row ``x_b + sum_j a_j y_j = x_b*`` with ``x_b*`` ``f0`` above its
+    floor, over ``y_j >= 0`` that are whole numbers where ``integer``."""
+    f = a - np.floor(a)
+    return np.where(integer,
+                    np.where(f <= f0, f / f0, (1.0 - f) / (1.0 - f0)),
+                    np.where(a >= 0, a / f0, -a / (1.0 - f0)))
+
+
+def _nonbasic_steps(value, lower, upper, basic):
+    """For variables at ``value`` within ``[lower, upper]``: the direction
+    ``d`` each nonbasic one moves away from the bound it sits at (1 from its
+    lower bound, -1 from its upper, 0 for basic and fixed ones), that bound
+    (0 where ``d`` is 0), and which nonbasic ones are free, with no bound."""
+    at_upper = upper - value < value - lower
+    d = np.where(at_upper, -1.0, 1.0)
+    bound = np.where(at_upper, upper, lower)
+    d[basic | (lower == upper)] = 0.0
+    free = (d != 0) & ~np.isfinite(bound)
+    d[free] = 0.0
+    return d, np.where(d != 0, bound, 0.0), free
 
 
 def solve_lp(form: LpStandardForm, opts: SolveOptions | None = None,
@@ -368,21 +569,78 @@ def _check_binary_mask(problem) -> np.ndarray:
 
 
 def _check_start(problem, start, int_cols, opts: SolveOptions) -> np.ndarray:
-    """``start`` as a float vector; ValueError unless it is a point of the
+    """``start`` as a float vector; BadStart unless it is a point of the
     problem: integral on the binary columns and within ``feasibility_tol``
     of every bound and row."""
     x = np.array(start, dtype=float)
     if x.shape != (problem.num_cols,):
-        raise ValueError(f"start has shape {x.shape}, problem has "
-                         f"{problem.num_cols} columns")
-    _finite("start", x)
+        raise BadStart(f"start has shape {x.shape}, problem has "
+                       f"{problem.num_cols} columns")
+    if not np.isfinite(x).all():
+        raise BadStart("start must not contain inf or nan")
     binary = x[int_cols]
     if np.any(np.abs(binary - np.round(binary)) > opts.integrality_tol):
-        raise ValueError("start is fractional on a binary column")
+        raise BadStart("start is fractional on a binary column")
     worst = problem.max_residual(x)
     if worst > opts.feasibility_tol:
-        raise ValueError(f"start violates a bound or row by {worst:.3g}")
+        raise BadStart(f"start violates a bound or row by {worst:.3g}")
     return x
+
+
+def _fractional(x: np.ndarray, int_cols: np.ndarray,
+                opts: SolveOptions) -> np.ndarray:
+    """Which binary columns ``x`` leaves fractional."""
+    frac = x[int_cols] - np.floor(x[int_cols] + 0.5)
+    return np.abs(frac) > opts.integrality_tol
+
+
+def _cuts_failed(result: LpResult, fixes, incumbent, inc_obj: float,
+                 opts: SolveOptions) -> bool:
+    """Whether an LP solved on a model with cuts shows that a cut may be
+    wrong, so the search must go on without them: the root LP ends other
+    than optimal (the cut-free root then settles its status), or an LP
+    whose fixes the incumbent meets ends other than optimal or above the
+    incumbent's objective."""
+    if result.status == OPTIMAL and result.objective <= (
+            inc_obj + opts.relative_gap * max(1.0, abs(inc_obj))):
+        return False
+    if not fixes:
+        return True
+    return incumbent is not None and all(
+        abs(incumbent[j] - value) <= opts.integrality_tol
+        for j, value in fixes)
+
+
+def _root_cut_rounds(model: HighsLp, solve_root, root: LpResult,
+                     int_cols: np.ndarray, incumbent, cutoff: float,
+                     opts: SolveOptions) -> tuple[LpResult, int]:
+    """Add up to ``CUT_ROUNDS`` rounds of GMI cuts to the optimal root LP
+    ``root`` held by ``model``, re-solving it with ``solve_root()`` after
+    each; return the last root LP and the simplex iterations spent.
+
+    The rounds stop when the LP is integral or reaches ``cutoff``, when no
+    cut is added, when the re-solve dropped the cuts, or on a stall: a
+    round that neither raises the bound nor leaves fewer fractional
+    binaries."""
+    known = () if incumbent is None else (incumbent,)
+    spent = 0
+    count = int(np.count_nonzero(_fractional(root.values, int_cols, opts)))
+    for _ in range(CUT_ROUNDS):
+        if (not count or root.objective >= cutoff
+                or not model.separate_cuts(int_cols, root.values, known)):
+            break
+        result = solve_root()
+        spent += result.iterations
+        if result.status != OPTIMAL or not model.cuts:
+            return result, spent
+        fewer = int(np.count_nonzero(
+            _fractional(result.values, int_cols, opts)))
+        stalled = (result.objective <= root.objective + 1e-9 * max(
+            1.0, abs(root.objective)) and fewer >= count)
+        root, count = result, fewer
+        if stalled:
+            break
+    return root, spent
 
 
 def solve_milp(problem, opts: SolveOptions | None = None,
@@ -398,7 +656,7 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     this problem's constraint arrays (under any objective and bounds), so
     the root restarts from the basis the last solve left.  ``start``, a
     feasible point of the problem, seeds the incumbent, so the search has
-    a cutoff from the first node; an infeasible one raises ValueError.
+    a cutoff from the first node; an infeasible one raises BadStart.
     """
     opts = opts or SolveOptions()
     int_cols = _check_binary_mask(problem)
@@ -425,8 +683,16 @@ def solve_milp(problem, opts: SolveOptions | None = None,
             upper = base_upper.copy()
             for j, value in fixes:
                 lower[j] = upper[j] = value
-        return solve_lp(LpStandardForm(c, A_ub, b_ub, A_eq, b_eq,
-                                       lower, upper), opts, model)
+        form = LpStandardForm(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
+        result = solve_lp(form, opts, model)
+        if model.cuts and _cuts_failed(result, fixes, incumbent, inc_obj,
+                                       opts):
+            # a cut may be wrong: solve this LP and the rest without cuts
+            model.drop_cuts()
+            retry = solve_lp(form, opts, model)
+            result = replace(retry, iterations=result.iterations
+                             + retry.iterations)
+        return result
 
     nodes = 0
     lp_iterations = 0
@@ -448,6 +714,11 @@ def solve_milp(problem, opts: SolveOptions | None = None,
         result = lp(fixes)
         nodes += 1
         lp_iterations += result.iterations
+        if depth == 0 and result.status == OPTIMAL:
+            result, spent = _root_cut_rounds(model, lambda: lp(()), result,
+                                             int_cols, incumbent, cutoff(),
+                                             opts)
+            lp_iterations += spent
         if result.status == INFEASIBLE:
             if trace is not None:
                 trace.append((depth, bound, np.inf, inc_obj))
@@ -464,8 +735,7 @@ def solve_milp(problem, opts: SolveOptions | None = None,
             pruned_bound = min(pruned_bound, obj)
             continue
         x = result.values
-        frac = x[int_cols] - np.floor(x[int_cols] + 0.5)
-        fractional = np.abs(frac) > opts.integrality_tol
+        fractional = _fractional(x, int_cols, opts)
         if not np.any(fractional):
             if obj < inc_obj:
                 inc_obj = obj

@@ -1,11 +1,12 @@
 """Independent oracles and random instance generators for solver tests.
 
-The LP oracle enumerates basic feasible solutions directly; the MILP
+The LP oracle enumerates basic feasible solutions directly; one MILP
 oracle enumerates every binary assignment and solves the residual LPs
-with scipy.  Neither shares any search logic with the package's
-branch-and-bound.  The MPS oracle formats the file one column and one
-number at a time in plain Python, and the build oracle compiles a
-scenario one column and one constraint row at a time.  The validation and
+with scipy, the other hands a whole problem to ``scipy.optimize.milp``.
+None shares any search logic with the package's branch-and-bound.  The
+MPS oracle formats the file one column and one number at a time in plain
+Python, and the build oracle compiles a scenario one column and one
+constraint row at a time.  The validation and
 per-unit oracles spell out every series check and every rescaled field by
 hand, class by class.
 """
@@ -18,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from dsomarket.csr import Csr
 from dsomarket.formulation import EQ, GE, LE, MilpProblem, VariableRegistry
@@ -118,6 +119,21 @@ def enumerate_binaries_milp(c, A_ub, b_ub, lower, upper, int_cols, tol=1e-9):
             if best is None or val < best:
                 best = val
     return best
+
+
+def scipy_milp(problem: MilpProblem) -> tuple[float, np.ndarray]:
+    """(objective, point) of ``problem``'s optimum by ``scipy.optimize.milp``
+    (HiGHS's own branch-and-cut), from the problem's rows and bounds."""
+    A = scipy_csr(problem.A)
+    lower = np.where(problem.sense == LE, -np.inf, problem.rhs)
+    upper = np.where(problem.sense == GE, np.inf, problem.rhs)
+    res = milp(problem.objective,
+               integrality=problem.integrality.astype(int),
+               bounds=Bounds(problem.lower, problem.upper),
+               constraints=LinearConstraint(A, lower, upper),
+               options={"mip_rel_gap": 1e-9})
+    assert res.status == 0, res.message
+    return float(res.fun), res.x
 
 
 def random_lp(rng, n_max=5, m_max=6):

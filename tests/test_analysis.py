@@ -249,6 +249,29 @@ def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
         _assert_within_gap(case.objective, reference)
 
 
+def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
+    calls = []
+
+    def spoiled(problem, opts, model, start=None):
+        # case 2's start is made fractional on a binary column
+        calls.append((model, start is not None))
+        if len(calls) == 2:
+            start = start.copy()
+            start[np.flatnonzero(problem.integrality)[0]] = 0.5
+        return solve_milp(problem, opts, model=model, start=start)
+
+    monkeypatch.setattr(analysis, "solve_milp", spoiled)
+    result = run_sweep(bundled, "esag-1", cases=CHUNK_CASES, threads=1)
+    assert all(c.status == OPTIMAL for c in result.cases)
+    # case 2 is solved again on the chunk's model without its start, and
+    # case 3 is warm again
+    assert [warm for _, warm in calls[:4]] == [False, True, False, True]
+    assert len({id(model) for model, _ in calls}) == 1
+    cold = _cold_objectives(bundled, "esag-1", range(1, CHUNK_CASES + 1))
+    for case, reference in zip(result.cases, cold):
+        _assert_within_gap(case.objective, reference)
+
+
 def test_export_sweep_layout(tmp_path):
     scenario = make_scenario(T=1, kinds=("ddgag", "esag"))
     result = run_sweep(scenario, "ddgag-x", cases=3, threads=1)

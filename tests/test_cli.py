@@ -132,7 +132,9 @@ def test_solve_writes_result_files(scenario_file, tmp_path, capsys):
     assert stats["options"] == {
         "relative_gap": 1e-6, "max_nodes": 100_000, "integrality_tol": 1e-6,
         "feasibility_tol": 1e-7, "node_order": "best-first",
-        "branch_rule": "most-fractional"}
+        "branch_rule": "most-fractional",
+        "cut_rule": "gomory-mixed-integer at the root",
+        "cut_rounds": 8}
 
 
 def test_solve_rejects_bad_gap(scenario_file, tmp_path, capsys):
@@ -199,6 +201,23 @@ def test_small_base_within_limit_solves(tmp_path, capsys):
     assert cli.main(["validate", path]) == 0
     assert cli.main(["solve", path, "--out", str(tmp_path / "r")]) == 0
     assert "PER_UNIT" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_base", [1e-4, 1e-6, 1e-8, 1e-9])
+def test_small_base_sweep_solves_every_case(tmp_path, capsys, s_base):
+    # per-unit impedances of 1e3 to 1e7: HiGHS can end a warm node LP, or
+    # one on the root cuts, with model status Unknown, and the last case's
+    # optimum can miss the next case's rows by more than feasibility_tol;
+    # the sweep re-solves such an LP on a fresh model and such a case
+    # without its start
+    path = _edited_bundled(tmp_path, ("network", "s_base"), s_base)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", path, "--target", "ddgag-1",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    statuses = {int(row.split(",")[0]): row.rsplit(",", 1)[1] for row in rows}
+    assert statuses == {i: solver.OPTIMAL for i in range(1, 41)}
 
 
 def test_solve_hashes_the_scenario_once(tmp_path, monkeypatch):

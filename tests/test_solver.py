@@ -16,14 +16,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (
     enumerate_binaries_milp,
     make_problem,
     random_milp,
+    scipy_milp,
     vertex_enumeration_lp,
 )
-from dsomarket import solver
-from dsomarket.analysis import scale_energy_offers
+from dsomarket import analysis, solver
+from dsomarket.analysis import run_sweep, scale_energy_offers
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.formulation import LE, build, build_objective
 from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
@@ -140,13 +144,9 @@ def test_milp_rejects_non_binary_integrality():
 
 
 def _needs_branching():
-    # relaxation splits both binaries at 0.5; integer optimum needs search
-    return make_problem(
-        c=[-1.0, -1.0, -0.1],
-        A=[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]],
-        senses=[LE, LE, LE], b=[1.0, 0.0, 0.0],
-        lower=[0, 0, 0], upper=[1, 1, 1],
-        integrality=[True, True, False])
+    # the root cuts leave binaries of ladder rung 2 fractional, so its
+    # integer optimum needs a search
+    return build(_ladder_rung(2))
 
 
 def test_milp_node_limit_status():
@@ -154,9 +154,8 @@ def test_milp_node_limit_status():
     assert sol.status in (NODE_LIMIT, OPTIMAL)
     full = solve_milp(_needs_branching())
     assert full.status == OPTIMAL
-    # relaxation sits at x = y = 0.5 (objective -1.1); the only integer
-    # point on x = y <= 0.5 is the origin
-    assert full.objective == pytest.approx(-0.1)
+    oracle, _ = scipy_milp(_needs_branching())
+    assert full.objective == pytest.approx(oracle, rel=1e-6)
     assert full.nodes_explored > 1
 
 
@@ -164,6 +163,7 @@ def test_trace_child_bounds_inherit_parent_objective():
     trace = []
     solve_milp(_needs_branching(), trace=trace)
     assert trace, "trace should record explored nodes"
+    assert len(trace) > 1, "no child node was explored"
     for depth, parent_bound, lp_obj, _ in trace:
         if np.isfinite(parent_bound) and np.isfinite(lp_obj):
             # a child relaxation can never beat its parent's bound
@@ -179,11 +179,12 @@ def _problems(source):
             yield make_problem(c, A, [LE] * len(b), b, lower, upper,
                                integrality)
     else:
-        yield build(bundled_case_study() if source == "bundled"
-                    else _ladder_rung_2())
+        yield build(_ladder_rung(8, seed=2) if source == "ladder rung 8"
+                    else _ladder_rung(2))
 
 
-@pytest.mark.parametrize("source", ["bundled", "ladder rung 2", "random"])
+@pytest.mark.parametrize("source", ["ladder rung 8", "ladder rung 2",
+                                    "random"])
 def test_nodes_explored_best_first(source):
     # the search pops the open node of least parent bound, so the parent
     # bounds of the explored nodes never fall, up to the rounding of the
@@ -357,12 +358,12 @@ def test_model_refuses_another_lp():
                  model=model)
 
 
-def _ladder_rung_2():
+def _ladder_rung(k, seed=0):
     spec = importlib.util.spec_from_file_location(
         "ladder", Path(__file__).parents[1] / "bench" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()), 2, 0)
+    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()), k, seed)
     return scenario_from_dict(doc)[0]
 
 
@@ -409,7 +410,7 @@ def _node_form(problem, fixes):
 
 @pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
 def test_persistent_model_matches_fresh_model(scenario):
-    s = bundled_case_study() if scenario == "bundled" else _ladder_rung_2()
+    s = bundled_case_study() if scenario == "bundled" else _ladder_rung(2)
     problem = build(s)
     rng = np.random.default_rng(20240611)
     opts = SolveOptions()
@@ -446,7 +447,7 @@ def _sweep_costs(s, problem, rng):
 
 @pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
 def test_cost_changes_match_fresh_model(scenario):
-    s = bundled_case_study() if scenario == "bundled" else _ladder_rung_2()
+    s = bundled_case_study() if scenario == "bundled" else _ladder_rung(2)
     problem = build(s)
     rng = np.random.default_rng(20240612)
     costs = _sweep_costs(s, problem, rng)
@@ -528,16 +529,149 @@ def test_highs_bindings_guard(monkeypatch):
                             inspect.getsource(solver)))
     assert called == set(HIGHS_METHODS)
 
-    stub = types.ModuleType("stub_highs")
-    stub._Highs = type("_Highs", (), {name: None for name in HIGHS_METHODS
-                                      if name != "changeColsBounds"})
-    monkeypatch.setitem(sys.modules, HIGHS_MODULE, stub)
-    with pytest.raises(ImportError,
-                       match=r"scipy>=1\.17.*_Highs\.changeColsBounds"):
-        highs_bindings()
+    # the node LPs' bound changes, and the tableau reads and row additions
+    # of the root cuts
+    assert {"getBasicVariables", "getReducedRow", "getBasisInverseRow",
+            "addRows"} < called
+    for missing in ("changeColsBounds", "getReducedRow", "addRows"):
+        stub = types.ModuleType("stub_highs")
+        stub._Highs = type("_Highs", (), {name: None for name in HIGHS_METHODS
+                                          if name != missing})
+        monkeypatch.setitem(sys.modules, HIGHS_MODULE, stub)
+        with pytest.raises(ImportError,
+                           match=rf"scipy>=1\.17.*_Highs\.{missing}$"):
+            highs_bindings()
     monkeypatch.setitem(sys.modules, HIGHS_MODULE, None)
     with pytest.raises(ImportError, match=r"scipy>=1\.17"):
         highs_bindings()
+
+
+# --- root cuts: validity, and the cut-free fallback ---
+
+def _record_cuts(monkeypatch) -> list:
+    """Every cut row any HighsLp adds from now on, as ``HighsLp.cuts``
+    gives them, including cuts a later fallback drops."""
+    added = []
+    separate = HighsLp.separate_cuts
+
+    def recorded(self, *args):
+        count = separate(self, *args)
+        added.extend(self.cuts[len(self.cuts) - count:])
+        return count
+    monkeypatch.setattr(HighsLp, "separate_cuts", recorded)
+    return added
+
+
+def _worst_cut_slack(cuts, points) -> float:
+    """The least ``coefficients @ x[columns] - lower`` over cuts and points;
+    negative where a point violates a cut."""
+    return min(coefs @ x[cols] - lower
+               for cols, coefs, lower in cuts for x in points)
+
+
+@pytest.mark.parametrize("scenario", ["bundled", "ladder rung 4"])
+def test_cuts_hold_at_scipy_milp_optimum(monkeypatch, scenario):
+    cuts = _record_cuts(monkeypatch)
+    problem = build(bundled_case_study() if scenario == "bundled"
+                    else _ladder_rung(4))
+    sol = solve_milp(problem)
+    oracle, x = scipy_milp(problem)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(oracle, rel=1e-6)
+    assert cuts, "no cut was separated, so none was checked"
+    # cut rows have largest coefficient 1
+    assert _worst_cut_slack(cuts, [x]) >= -1e-7
+
+
+@pytest.mark.parametrize("target", ["drag-1", "esag-1", "evcs-1",
+                                    "ddgag-1"])
+def test_cuts_hold_at_every_sweep_optimum(monkeypatch, bundled, target):
+    # the cases share their rows, so every case's optimum must satisfy
+    # every cut any chunk separated
+    cuts = _record_cuts(monkeypatch)
+    optima = []
+    real = analysis.solve_milp
+
+    def recorded(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        optima.append(sol.values)
+        return sol
+    monkeypatch.setattr(analysis, "solve_milp", recorded)
+    result = run_sweep(bundled, target, threads=1)
+    assert {case.status for case in result.cases} == {OPTIMAL}
+    assert len(optima) == 40
+    assert cuts, "no cut was separated, so none was checked"
+    assert _worst_cut_slack(cuts, optima) >= -1e-7
+
+
+@st.composite
+def _small_milps(draw):
+    """A small MILP with whole-number coefficients on its binaries, which
+    makes fractional roots and GMI cuts common, and a known feasible point:
+    (c, A, b, lower, upper, integrality) for ``A x <= b``."""
+    nb = draw(st.integers(2, 6))
+    nc = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 4))
+    coef = st.integers(-6, 9).map(float)
+    A = np.array([[draw(coef) for _ in range(nb)]
+                  + [draw(st.floats(-3, 3)) for _ in range(nc)]
+                  for _ in range(m)]).reshape(m, nb + nc)
+    upper = np.array([1.0] * nb + [draw(st.floats(0.5, 4)) for _ in range(nc)])
+    x0 = np.array([float(draw(st.integers(0, 1))) for _ in range(nb)]
+                  + [draw(st.floats(0, 1)) * u for u in upper[nb:]])
+    b = A @ x0 + np.array([draw(st.floats(0, 3)) for _ in range(m)])
+    c = np.array([float(draw(st.integers(-9, 6))) for _ in range(nb)]
+                 + [draw(st.floats(-3, 3)) for _ in range(nc)])
+    return c, A, b, np.zeros(nb + nc), upper, np.arange(nb + nc) < nb
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_small_milps())
+def test_cut_search_matches_enumeration(case):
+    c, A, b, lower, upper, integrality = case
+    problem = make_problem(c, A, [LE] * len(b), b, lower, upper, integrality)
+    model = HighsLp(SolveOptions())
+    sol = solve_milp(problem, model=model)
+    oracle = enumerate_binaries_milp(c, A, b, lower, upper,
+                                     np.flatnonzero(integrality))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(oracle, abs=1e-6, rel=1e-6)
+    assert problem.max_residual(sol.values) <= 1e-6
+    if model.cuts:
+        assert _worst_cut_slack(model.cuts, [sol.values]) >= -1e-7
+
+
+@pytest.mark.parametrize("failure", ["node LP status Unknown",
+                                     "cut round Infeasible"])
+def test_failed_lp_on_cut_model_goes_on_cut_free(monkeypatch, failure):
+    problem = _needs_branching()
+    expected = solve_milp(problem)
+    cuts = _record_cuts(monkeypatch)
+    run = HighsLp._run
+    forced = []
+
+    def failing(self):
+        status, iterations = run(self)
+        node = (self._lower != problem.lower).any() or \
+            (self._upper != problem.upper).any()
+        if self.cuts and not forced and (
+                node if failure.startswith("node") else not node):
+            forced.append(status.name)
+            status = HighsLp._core.HighsModelStatus.kUnknown \
+                if failure.startswith("node") \
+                else HighsLp._core.HighsModelStatus.kInfeasible
+        return status, iterations
+    monkeypatch.setattr(HighsLp, "_run", failing)
+    model = HighsLp(SolveOptions())
+    # the start makes the incumbent known at the root, so an Infeasible
+    # cut round shows that a cut is wrong
+    start = expected.values if failure.startswith("cut") else None
+    sol = solve_milp(problem, model=model, start=start)
+    assert forced and cuts
+    assert model.cuts == (), "the search did not go on cut-free"
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective - expected.objective) <= \
+        SolveOptions().relative_gap * abs(expected.objective)
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
