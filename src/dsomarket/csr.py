@@ -53,14 +53,17 @@ class Csr:
                    np.asarray(col)[order].astype(np.int32),
                    np.asarray(value, dtype=np.float64)[order], (m, n))
 
-    def rows(self, keep, scale) -> Csr:
-        """The rows where ``keep`` is True, in order, each multiplied by its
-        entry of ``scale``."""
-        counts = np.diff(self.indptr)
-        entries = np.repeat(keep, counts)
-        data = self.data[entries] * np.repeat(scale[keep], counts[keep])
-        return Csr(_offsets(counts[keep]), self.indices[entries], data,
-                   (len(counts[keep]), self.shape[1]))
+    def rows(self, order, negate) -> Csr:
+        """The rows ``order`` lists, in that order, each negated where
+        ``negate`` is True."""
+        counts = np.diff(self.indptr)[order]
+        indptr = _offsets(counts)
+        entries = np.repeat(self.indptr[order] - indptr[:-1], counts)
+        entries += np.arange(indptr[-1], dtype=np.int32)
+        data = self.data[entries]
+        np.negative(data, out=data, where=np.repeat(negate[order], counts))
+        return Csr(indptr, self.indices[entries], data,
+                   (len(order), self.shape[1]))
 
     @cached_property
     def _by_position(self) -> tuple:

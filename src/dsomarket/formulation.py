@@ -13,10 +13,12 @@ price table is filled by fancy indexing over the same column arrays.  The
 compiled :class:`MilpProblem` holds the constraints as one sparse matrix
 ``A`` (:class:`~dsomarket.csr.Csr`: numpy CSR arrays, rows in build
 order) with a ``sense``, ``rhs`` and name per row; the LP relaxation, the
-residual checks and the MPS export all read that matrix.  Only
-``relaxation_arrays``, a view kept for callers outside the package,
-builds scipy's sparse matrices.  Also decodes raw solver vectors back into
-a :class:`Schedule`.
+residual checks and the MPS export all read that matrix.  The
+relaxation's row layout is defined once, in
+:meth:`MilpProblem.relaxation_rows`, which the solver loads into HiGHS.
+``relaxation_arrays`` is the benchmark's view of those rows, and the only
+code that builds scipy's sparse matrices.  Also decodes raw solver vectors
+back into a :class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -225,33 +227,58 @@ class MilpProblem:
     def num_cols(self) -> int:
         return len(self.objective)
 
-    def relaxation_rows(self):
-        """(A_ub, b_ub, A_eq, b_eq) for the LP relaxation: the <= and >=
-        rows, each >= row negated into a <= row, then the == rows, each
-        block in build order; an empty block is None."""
-        sign = np.where(self.sense == GE, -1.0, 1.0)
-        eq = self.sense == EQ
+    def relaxation_rows(self) -> tuple[Csr, np.ndarray, np.ndarray]:
+        """The rows of the LP relaxation as ``(A, lower, upper)`` for
+        ``lower <= A @ x <= upper``: the <= rows and the negated >= rows
+        (lower bound -inf), then the == rows, each block in build order.
 
-        def block(keep):
-            return self.A.rows(keep, sign) if keep.any() else None
-
-        return (block(~eq), (sign * self.rhs)[~eq], block(eq), self.rhs[eq])
+        ValueError unless ``A`` is m x ``num_cols``, ``sense``, ``rhs`` and
+        ``row_names`` are m long, ``A`` and ``rhs`` are finite and every
+        sense is LE, GE or EQ (naming the first row with another sense):
+        HiGHS reads its buffers by these counts."""
+        m = len(self.rhs)
+        if (self.A.shape != (m, self.num_cols) or self.rhs.shape != (m,)
+                or self.sense.shape != (m,) or len(self.row_names) != m):
+            raise ValueError(
+                f"A has shape {self.A.shape}, rhs {self.rhs.shape}, sense "
+                f"{self.sense.shape} and row_names {len(self.row_names)}; "
+                f"expected ({m}, {self.num_cols}) and {m} rows")
+        known = (self.sense == LE) | (self.sense == GE) | (self.sense == EQ)
+        if not known.all():
+            i = int(np.argmin(known))
+            raise ValueError(
+                f"row {i} ({self.row_names[i]}) has sense "
+                f"{str(self.sense[i])!r}; expected {LE!r}, {GE!r} or {EQ!r}")
+        if not np.isfinite(self.rhs).all() or not np.isfinite(
+                self.A.data).all():
+            raise ValueError("A and rhs must not contain inf or nan")
+        ge, eq = self.sense == GE, self.sense == EQ
+        rhs = np.where(ge, -self.rhs, self.rhs)
+        order = np.argsort(eq, kind="stable")    # the <= rows first
+        return (self.A.rows(order, ge), np.where(eq, rhs, -np.inf)[order],
+                rhs[order])
 
     @cached_property
     def relaxation_arrays(self):
-        """:meth:`relaxation_rows` with scipy CSR matrices for blocks.  The
-        package does not read it; it is here for the benchmark's checks and
-        tracer, and it is the package's only import of scipy's sparse
-        module."""
+        """The rows of :meth:`relaxation_rows` as ``(A_ub, b_ub, A_eq,
+        b_eq)`` for ``A_ub @ x <= b_ub`` and ``A_eq @ x == b_eq``, with scipy
+        CSR matrices for blocks (None for a block with no rows).  The
+        package does not read it; it is the benchmark's view of the rows,
+        and the package's only import of scipy's sparse module."""
         from scipy import sparse
 
-        A_ub, b_ub, A_eq, b_eq = self.relaxation_rows()
+        A, _, b = self.relaxation_rows()
+        k = int(np.count_nonzero(self.sense != EQ))
 
-        def matrix(A):
-            return None if A is None else sparse.csr_matrix(
-                (A.data, A.indices, A.indptr), shape=A.shape)
+        def block(first, stop):
+            # copies, so that no block keeps the other's entries alive
+            at = slice(A.indptr[first], A.indptr[stop])
+            return None if first == stop else sparse.csr_matrix(
+                (A.data[at].copy(), A.indices[at].copy(),
+                 A.indptr[first:stop + 1] - A.indptr[first]),
+                shape=(stop - first, self.num_cols))
 
-        return matrix(A_ub), b_ub, matrix(A_eq), b_eq
+        return block(0, k), b[:k], block(k, len(b)), b[k:]
 
     def row_residuals(self, x: np.ndarray) -> np.ndarray:
         """Violation of each row by x (zero where it holds), aligned with

@@ -7,17 +7,19 @@ importing ``scipy.optimize``, whose ``__init__`` would pull in linprog,
 scipy.linalg, scipy.special and more that this package never uses.  When
 the file is not there, or lacks a method the solver calls, importing this
 module raises ImportError naming the scipy version needed.  That extension
-is all this module takes from scipy: the rows are handed to HiGHS as
-numpy arrays, by columns, from one stable sort of the CSR entries
-(:meth:`~dsomarket.csr.Csr.csc`).
-Each ``solve_milp`` call loads its relaxation once into one persistent
-HiGHS model with presolve off; every node then only changes the bounds of
-the binary columns it fixes, and the dual simplex restarts from the basis
-the previous node left, so a node costs a few pivots instead of a full
-solve.  A one-shot ``solve_lp`` runs the same code on a fresh model.
-Problems that differ only in their objective, such as the cases of a price
-sweep, can share one model (only the changed costs are sent) and seed each
-search with the previous optimum.
+is all this module takes from scipy.
+
+The solver reads a compiled ``MilpProblem`` directly.  HiGHS is handed
+its relaxation's rows (``MilpProblem.relaxation_rows``) as numpy arrays,
+by columns.  Each ``solve_milp`` call loads them once into one persistent
+HiGHS model with presolve off; every node is the problem with its fixed
+binaries' bounds changed, only those bounds are sent, and the dual
+simplex restarts from the basis the previous node left, so a node costs a
+few pivots instead of a full solve.  ``solve_lp`` solves one problem's
+relaxation on a fresh model, or on a held one.  Problems that share one
+constraint system and differ in their objective, such as the cases of a
+price sweep, can share one model (only the changed costs are sent) and
+seed each search with the previous optimum.
 
 The branch-and-bound search on top is our own and has one form,
 ``SEARCH``: best-first node order with insertion-order tie-breaking,
@@ -42,8 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
-
-from .csr import Csr
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -90,19 +90,6 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class LpStandardForm:
-    """Canonical LP: min c @ x, A_ub x <= b_ub, A_eq x == b_eq, lb <= x <= ub."""
-
-    c: np.ndarray
-    A_ub: object = None
-    b_ub: np.ndarray | None = None
-    A_eq: object = None
-    b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class LpResult:
     status: str
     values: np.ndarray | None
@@ -120,52 +107,26 @@ class MilpSolution:
     lp_iterations: int
 
 
-def _finite(name: str, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"LP input {name} must not contain inf or nan")
-    return values
-
-
-def _row_block(kind: str, A, b, n: int):
-    """The rows ``A_kind x (<= or ==) b_kind`` as (CSR matrix, rhs), checked
-    to be m x n and m long: HiGHS reads its buffers by the counts given.
-    ``A`` is a dense array-like, whose nonzeros are kept, or a sparse
-    matrix with CSR arrays (a :class:`Csr`, or a scipy matrix, taken by its
-    ``tocsr()``).  A missing matrix or right-hand side stands for zero
-    rows."""
-    b = _finite(f"b_{kind}", np.empty(0) if b is None else b)
-    if A is None:
-        A = Csr(np.zeros(1, np.int32), np.empty(0, np.int32), np.empty(0),
-                (0, n))
-    elif hasattr(A, "tocsr"):
-        A = A.tocsr()
-    elif not isinstance(A, Csr):
-        dense = np.asarray(A, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError(f"A_{kind} must be 2-D, got shape {dense.shape}")
-        row, col = np.nonzero(dense)
-        A = Csr.from_entries(row, col, dense[row, col], dense.shape)
-    if len(A.shape) != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
+def _columns(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(objective, lower, upper)`` of ``problem`` as new float arrays;
+    ValueError unless the objective is finite with one entry per column of
+    ``A``, and the column bounds are as long, without nan.  HiGHS reads
+    its buffers by the counts it is given."""
+    c = np.array(problem.objective, dtype=float)
+    lower = np.array(problem.lower, dtype=float)
+    upper = np.array(problem.upper, dtype=float)
+    if c.shape != (problem.A.shape[1],):
+        raise ValueError(f"the objective must be 1-D and as long as A is "
+                         f"wide ({problem.A.shape[1]}), got shape {c.shape}")
+    if lower.shape != c.shape or upper.shape != c.shape:
         raise ValueError(
-            f"A_{kind} has shape {A.shape} and b_{kind} {b.shape}; "
-            f"expected (m, {n}) and (m,)")
-    _finite(f"A_{kind}", A.data)
-    return A, b
-
-
-def _model_rows(form: LpStandardForm, n: int) -> tuple:
-    """The rows HiGHS is loaded with: (row lower bounds, row upper bounds,
-    column starts, row indices, values) of the <= rows over the == rows,
-    the matrix by columns."""
-    A_ub, b_ub = _row_block("ub", form.A_ub, form.b_ub, n)
-    A_eq, b_eq = _row_block("eq", form.A_eq, form.b_eq, n)
-    A = Csr(np.concatenate([A_ub.indptr, A_ub.indptr[-1] + A_eq.indptr[1:]]),
-            np.concatenate([A_ub.indices, A_eq.indices]),
-            np.concatenate([A_ub.data, A_eq.data]),
-            (len(b_ub) + len(b_eq), n))
-    return (np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-            np.concatenate([b_ub, b_eq]), *A.csc())
+            f"column bounds must be as long as the objective ({len(c)}); "
+            f"got lower {lower.shape}, upper {upper.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("the objective must not contain inf or nan")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("column bounds must not contain nan")
+    return c, lower, upper
 
 
 # Every method of the private ``_Highs`` class that HighsLp calls.  They are
@@ -221,14 +182,16 @@ def highs_bindings():
 
 
 class HighsLp:
-    """One LP held by a HiGHS instance, re-solved after bound changes.
+    """The LP relaxation of one constraint system, held by a HiGHS
+    instance and re-solved under other costs and column bounds.
 
-    The first ``solve`` loads the form; later calls must pass forms with
-    the same objective and the same (or equal) constraint arrays and change
-    only the column bounds.  Only the columns whose bounds differ from the
-    loaded ones are sent to HiGHS, and the dual simplex restarts from the
-    basis the last solve left.  The objective changes only through
-    ``change_costs``, and rows beyond the form's only through
+    The first ``solve`` loads its problem's rows
+    (:meth:`~dsomarket.formulation.MilpProblem.relaxation_rows`).  Later
+    calls must pass problems that share that problem's ``A``, ``sense``
+    and ``rhs`` objects, as the nodes of a search and the cases of a sweep
+    do; only the costs and column bounds that differ from the held ones are
+    sent to HiGHS, and the dual simplex restarts from the basis the last
+    solve left.  Rows beyond the problem's own come only from
     ``separate_cuts``.  A solve that ends in a status other than the four
     verdicts is run once more on a fresh, cut-free instance.
     This class is the package's only user of the private HiGHS bindings.
@@ -245,11 +208,11 @@ class HighsLp:
 
     def drop_cuts(self) -> None:
         """Forget the held LP, its cuts and its basis: the next ``solve``
-        loads its form into a fresh HiGHS instance."""
-        self._form: LpStandardForm | None = None
-        self._rows: tuple = ()      # what _model_rows gave the held form
+        loads its problem into a fresh HiGHS instance."""
+        self._problem = None
+        self._rows: tuple = ()      # the rows passModel was given
         self._entry_cols = None     # the column of each entry of _rows
-        self._lower = self._upper = None
+        self._c = self._lower = self._upper = None
         self._optimal_basis = False   # whether the last solve ended optimal
         self._cuts: tuple = ()
         self._highs = self._core._Highs()
@@ -268,10 +231,10 @@ class HighsLp:
         if status.name == "kError":
             raise SolverError(f"HiGHS failed {what}")
 
-    def _load(self, form: LpStandardForm, lower, upper) -> None:
-        c = _finite("c", form.c)
+    def _load(self, problem, c, lower, upper) -> None:
+        A, row_lower, row_upper = problem.relaxation_rows()
+        start, index, value = A.csc()
         n = len(c)
-        rows = row_lower, row_upper, start, index, value = _model_rows(form, n)
         self._check(self._highs.passModel(
             n, len(row_lower), len(value),
             1, 1, 0.0,      # column-wise matrix, minimise, no offset
@@ -280,11 +243,12 @@ class HighsLp:
             value.astype(float),
             np.zeros(n, dtype=np.int32)),    # every column continuous
             "loading the model")
-        self._form, self._rows = form, rows
+        self._problem = problem
+        self._rows = row_lower, row_upper, start, index, value
 
     @property
     def loaded(self) -> bool:
-        return self._form is not None
+        return self._problem is not None
 
     @property
     def cuts(self) -> tuple:
@@ -293,41 +257,14 @@ class HighsLp:
         each, for the row ``coefficients @ x[columns] >= lower``."""
         return self._cuts
 
-    def change_costs(self, c) -> None:
-        """Make ``c`` the objective of the loaded LP.  Only the columns whose
-        cost changes are sent to HiGHS and the basis is kept, so the next
-        solve restarts from it; that solve must pass this ``c`` object."""
-        if self._form is None:
-            raise ValueError("no LP is loaded to change the costs of")
-        c = _finite("c", c)
-        held = self._form.c
-        if c.shape != held.shape:
-            raise ValueError(
-                f"c must have the loaded shape {held.shape}, got {c.shape}")
-        changed = np.flatnonzero(c != held)
+    def _update(self, c, lower, upper) -> None:
+        """Send HiGHS the costs and the column bounds that differ from the
+        held ones."""
+        changed = np.flatnonzero(c != self._c)
         if changed.size:
             self._check(self._highs.changeColsCost(
                 changed.size, changed.astype(np.int32), c[changed]),
                 "changing costs")
-        self._form = replace(self._form, c=c)
-
-    def _same_lp(self, form: LpStandardForm) -> bool:
-        """Whether ``form`` is the held LP: the held ``c`` object, and the
-        held constraint objects or equal rows (as each case of a sweep
-        gives them, from its own problem object)."""
-        held = self._form
-        if form.c is not held.c:
-            return False
-        blocks = ("A_ub", "b_ub", "A_eq", "b_eq")
-        if all(getattr(form, k) is getattr(held, k) for k in blocks):
-            return True
-        rows = _model_rows(form, len(form.c))
-        if not all(map(np.array_equal, rows, self._rows)):
-            return False
-        self._form = form
-        return True
-
-    def _set_bounds(self, lower, upper) -> None:
         changed = np.flatnonzero((lower != self._lower)
                                  | (upper != self._upper))
         if changed.size:
@@ -341,29 +278,23 @@ class HighsLp:
         return (self._highs.getModelStatus(),
                 int(self._highs.getInfo().simplex_iteration_count))
 
-    def solve(self, form: LpStandardForm) -> LpResult:
-        if np.ndim(form.c) != 1:
-            raise ValueError(f"c must be 1-D, got shape {np.shape(form.c)}")
-        n = len(form.c)
-        lower = np.array(form.lower if form.lower is not None
-                         else np.zeros(n), dtype=float)
-        upper = np.array(form.upper if form.upper is not None
-                         else np.full(n, np.inf), dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError(
-                f"column bounds must be as long as c ({n}); got lower "
-                f"{lower.shape}, upper {upper.shape}")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValueError("LP column bounds must not contain nan")
+    def solve(self, problem) -> LpResult:
+        """Solve the LP relaxation of ``problem`` under its own column
+        bounds: load it into an empty model, or re-solve the held one if
+        ``problem`` shares its ``A``, ``sense`` and ``rhs`` objects;
+        ValueError otherwise, and for malformed input."""
+        c, lower, upper = _columns(problem)
+        held = self._problem
         self._optimal_basis = False
-        if self._form is None:
-            self._load(form, lower, upper)
-        elif self._same_lp(form):
-            self._set_bounds(lower, upper)
+        if held is None:
+            self._load(problem, c, lower, upper)
+        elif (problem.A is held.A and problem.sense is held.sense
+              and problem.rhs is held.rhs):
+            self._update(c, lower, upper)
         else:
-            raise ValueError("a HighsLp re-solves one LP; only its column "
-                             "bounds may change")
-        self._lower, self._upper = lower, upper
+            raise ValueError("a HighsLp re-solves one constraint system; "
+                             "only its costs and column bounds may change")
+        self._c, self._lower, self._upper = c, lower, upper
         model_status, iterations = self._run()
         ambiguous = model_status.name == "kUnboundedOrInfeasible"
         if model_status.name not in self._VERDICTS and not (
@@ -371,14 +302,14 @@ class HighsLp:
             # a warm model, or its cuts, can lose its way (status Unknown on
             # badly scaled rows): solve once more on a fresh, cut-free one
             self.drop_cuts()
-            self._load(form, lower, upper)
-            self._lower, self._upper = lower, upper
+            self._load(problem, c, lower, upper)
+            self._c, self._lower, self._upper = c, lower, upper
             model_status, more = self._run()
             iterations += more
             ambiguous = model_status.name == "kUnboundedOrInfeasible"
         if ambiguous and not self._presolve:
             # the dual simplex alone cannot tell which; presolve can
-            cold = HighsLp(self._opts, presolve=True).solve(form)
+            cold = HighsLp(self._opts, presolve=True).solve(problem)
             return LpResult(cold.status, cold.values, cold.objective,
                             iterations + cold.iterations)
         status = self._VERDICTS.get(model_status.name)
@@ -544,17 +475,19 @@ def _nonbasic_steps(value, lower, upper, basic):
     return d, np.where(d != 0, bound, 0.0), free
 
 
-def solve_lp(form: LpStandardForm, opts: SolveOptions | None = None,
+def solve_lp(problem, opts: SolveOptions | None = None,
              model: HighsLp | None = None) -> LpResult:
-    """Solve one LP to a vertex with HiGHS dual simplex.
+    """Solve the LP relaxation of a MilpProblem, under its own column
+    bounds, to a vertex with HiGHS dual simplex.
 
-    ``model`` warm-starts the solve from a HighsLp that already holds this
-    LP under other column bounds (``solve_milp`` passes one per search);
-    without it a fresh model is built from ``opts``.
+    ``model`` warm-starts the solve from a HighsLp that already holds the
+    problem's constraint system under other costs or column bounds
+    (``solve_milp`` passes one per search); without it a fresh model is
+    built from ``opts``.
     """
     if model is None:
         model = HighsLp(opts or SolveOptions())
-    return model.solve(form)
+    return model.solve(problem)
 
 
 def _check_binary_mask(problem) -> np.ndarray:
@@ -652,44 +585,38 @@ def solve_milp(problem, opts: SolveOptions | None = None,
     incumbent_objective)`` tuple per explored node, for diagnostics and
     monotonicity checks.
 
-    ``model`` runs the node LPs on a HighsLp that is empty or already holds
-    this problem's constraint arrays (under any objective and bounds), so
+    Each node's LP is ``replace(problem, lower=..., upper=...)`` with its
+    binaries fixed, so every node shares the problem's ``A``, ``sense`` and
+    ``rhs``.  ``model`` runs the node LPs on a HighsLp that is empty or
+    already holds those three objects (under any objective and bounds), so
     the root restarts from the basis the last solve left.  ``start``, a
     feasible point of the problem, seeds the incumbent, so the search has
     a cutoff from the first node; an infeasible one raises BadStart.
     """
     opts = opts or SolveOptions()
     int_cols = _check_binary_mask(problem)
-    A_ub, b_ub, A_eq, b_eq = problem.relaxation_rows()
-    c = problem.objective
-    base_lower = problem.lower
-    base_upper = problem.upper
 
     incumbent: np.ndarray | None = None
     inc_obj = np.inf
     if start is not None:
         incumbent = _check_start(problem, start, int_cols, opts)
-        inc_obj = float(c @ incumbent)
+        inc_obj = float(problem.objective @ incumbent)
     if model is None:
         model = HighsLp(opts)
-    elif model.loaded:
-        model.change_costs(c)
 
     def lp(fixes) -> LpResult:
-        lower = base_lower
-        upper = base_upper
+        node = problem
         if fixes:
-            lower = base_lower.copy()
-            upper = base_upper.copy()
+            lower, upper = problem.lower.copy(), problem.upper.copy()
             for j, value in fixes:
                 lower[j] = upper[j] = value
-        form = LpStandardForm(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
-        result = solve_lp(form, opts, model)
+            node = replace(problem, lower=lower, upper=upper)
+        result = solve_lp(node, opts, model)
         if model.cuts and _cuts_failed(result, fixes, incumbent, inc_obj,
                                        opts):
             # a cut may be wrong: solve this LP and the rest without cuts
             model.drop_cuts()
-            retry = solve_lp(form, opts, model)
+            retry = solve_lp(node, opts, model)
             result = replace(retry, iterations=result.iterations
                              + retry.iterations)
         return result

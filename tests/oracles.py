@@ -74,6 +74,13 @@ def make_problem(c, A, senses, b, lower, upper, integrality) -> MilpProblem:
         registry=reg)
 
 
+def make_lp(c, A, b, lower, upper) -> MilpProblem:
+    """The LP ``min c @ x, A x <= b, lower <= x <= upper`` as a MilpProblem
+    with no integral column."""
+    return make_problem(c, A, [LE] * len(b), b, lower, upper,
+                        [False] * len(c))
+
+
 def vertex_enumeration_lp(c, A, b, lower, upper, tol=1e-9):
     """Optimal objective of min c@x, A x <= b, lower <= x <= upper,
     by enumerating all vertices (finite box keeps the problem bounded).

@@ -32,6 +32,7 @@ import pytest
 from conftest import first_energy_rise
 from oracles import (
     enumerate_binaries_milp,
+    make_lp,
     make_problem,
     random_lp,
     random_milp,
@@ -46,7 +47,6 @@ from dsomarket.solver import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LpStandardForm,
     SolveOptions,
     solve_lp,
     solve_milp,
@@ -98,23 +98,20 @@ def test_criterion_2_lp_matches_vertex_oracle(report):
     worst = 0.0
     for _ in range(20):
         c, A, b, lower, upper = random_lp(rng)
-        res = solve_lp(LpStandardForm(c=c, A_ub=A, b_ub=b,
-                                      lower=lower, upper=upper))
+        res = solve_lp(make_lp(c, A, b, lower, upper))
         assert res.status == OPTIMAL
         oracle = vertex_enumeration_lp(c, A, b, lower, upper)
         assert oracle is not None
         worst = max(worst, abs(res.objective - oracle))
     # textbook statuses
-    degenerate = solve_lp(LpStandardForm(
-        c=np.array([-1.0, 0.0]),
-        A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
-        b_ub=np.array([1.0, 1.0, 1.0]),
-        lower=np.zeros(2), upper=np.full(2, 10.0)))
-    infeasible = solve_lp(LpStandardForm(
-        c=np.array([1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),
-        lower=np.zeros(1), upper=np.ones(1)))
-    unbounded = solve_lp(LpStandardForm(
-        c=np.array([-1.0]), lower=np.zeros(1), upper=np.array([np.inf])))
+    degenerate = solve_lp(make_lp(
+        c=[-1.0, 0.0], A=[[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+        b=[1.0, 1.0, 1.0], lower=np.zeros(2), upper=np.full(2, 10.0)))
+    infeasible = solve_lp(make_lp(
+        c=[1.0], A=[[-1.0]], b=[-2.0], lower=np.zeros(1), upper=np.ones(1)))
+    unbounded = solve_lp(make_lp(
+        c=[-1.0], A=np.empty((0, 1)), b=[], lower=np.zeros(1),
+        upper=[np.inf]))
     statuses_ok = (degenerate.status == OPTIMAL
                    and degenerate.objective == pytest.approx(-1.0)
                    and infeasible.status == INFEASIBLE

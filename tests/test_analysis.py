@@ -21,6 +21,7 @@ from dsomarket.model import DemandBlock
 from dsomarket.solver import (
     NODE_LIMIT,
     OPTIMAL,
+    HighsLp,
     MilpSolution,
     SolveOptions,
     SolverError,
@@ -211,6 +212,22 @@ def test_sweep_chunks_independent_of_threads(bundled):
     cold = _cold_objectives(bundled, "ddgag-1", range(1, cases + 1))
     for case, reference in zip(serial, cold):
         _assert_within_gap(case.objective, reference)
+
+
+def test_sweep_loads_highs_once_per_chunk(bundled, monkeypatch):
+    # a chunk's later cases share its first case's A, sense and rhs, so
+    # its model re-solves them under new costs without loading them again
+    loads = []
+    load = HighsLp._load
+
+    def counted(self, *args):
+        loads.append(self)
+        load(self, *args)
+    monkeypatch.setattr(HighsLp, "_load", counted)
+    result = run_sweep(bundled, "ddgag-1", cases=2 * CHUNK_CASES, threads=1)
+    assert all(c.status == OPTIMAL for c in result.cases)
+    assert len(loads) == 2
+    assert loads[0] is not loads[1]
 
 
 @pytest.mark.parametrize("failure", ["raises", "node limit"])

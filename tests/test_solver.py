@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     enumerate_binaries_milp,
+    make_lp,
     make_problem,
+    package_csr,
     random_milp,
     scipy_milp,
     vertex_enumeration_lp,
@@ -39,7 +41,6 @@ from dsomarket.solver import (
     OPTIMAL,
     UNBOUNDED,
     HighsLp,
-    LpStandardForm,
     SolveOptions,
     SolverError,
     highs_bindings,
@@ -59,28 +60,22 @@ def test_options_reject_bad_values():
 
 def test_lp_known_optimum():
     # min -x - y  s.t.  x + y <= 1,  0 <= x, y <= 1
-    form = LpStandardForm(
-        c=np.array([-1.0, -1.0]),
-        A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
-        lower=np.zeros(2), upper=np.ones(2))
-    res = solve_lp(form)
+    problem = make_lp(c=[-1.0, -1.0], A=[[1.0, 1.0]], b=[1.0],
+                      lower=np.zeros(2), upper=np.ones(2))
+    res = solve_lp(problem)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-1.0)
     assert res.values[0] + res.values[1] == pytest.approx(1.0)
 
 
 # redundant, coincident constraints at the optimum
-DEGENERATE_LP = LpStandardForm(
-    c=np.array([-1.0, 0.0]),
-    A_ub=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
-    b_ub=np.array([1.0, 1.0, 2.0, 1.0]),
-    lower=np.zeros(2), upper=np.full(2, 10.0))
-INFEASIBLE_LP = LpStandardForm(
-    c=np.array([1.0]),
-    A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]),   # x >= 2
-    lower=np.zeros(1), upper=np.ones(1))
-UNBOUNDED_LP = LpStandardForm(c=np.array([-1.0]), lower=np.zeros(1),
-                              upper=np.array([np.inf]))
+DEGENERATE_LP = make_lp(
+    c=[-1.0, 0.0], A=[[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
+    b=[1.0, 1.0, 2.0, 1.0], lower=np.zeros(2), upper=np.full(2, 10.0))
+INFEASIBLE_LP = make_lp(c=[1.0], A=[[-1.0]], b=[-2.0],   # x >= 2
+                        lower=np.zeros(1), upper=np.ones(1))
+UNBOUNDED_LP = make_lp(c=[-1.0], A=np.empty((0, 1)), b=[],
+                       lower=np.zeros(1), upper=[np.inf])
 
 
 def test_lp_degenerate_still_optimal():
@@ -225,8 +220,7 @@ def test_lp_matches_vertex_oracle_small_sample():
         x0 = rng.uniform(0, 1, n) * upper
         b = A @ x0 + rng.uniform(0, 1, 4)
         c = rng.normal(size=n)
-        res = solve_lp(LpStandardForm(c=c, A_ub=A, b_ub=b,
-                                      lower=np.zeros(n), upper=upper))
+        res = solve_lp(make_lp(c, A, b, np.zeros(n), upper))
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(
             vertex_enumeration_lp(c, A, b, np.zeros(n), upper), abs=1e-8)
@@ -250,12 +244,10 @@ def test_milp_solution_is_feasible_and_integral():
 
 # min -x  s.t.  x - w <= 5,  y + z <= 1,  y >= 2: the rows in y and z are
 # infeasible, and x = w is a ray along which the objective falls
-INFEASIBLE_WITH_RAY_LP = LpStandardForm(
-    c=np.array([-1.0, 0.0, 0.0, 0.0]),
-    A_ub=np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
-                   [0.0, 0.0, -1.0, 0.0]]),
-    b_ub=np.array([5.0, 1.0, -2.0]),
-    lower=np.zeros(4), upper=np.full(4, np.inf))
+INFEASIBLE_WITH_RAY_LP = make_lp(
+    c=[-1.0, 0.0, 0.0, 0.0],
+    A=[[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -1.0, 0.0]],
+    b=[5.0, 1.0, -2.0], lower=np.zeros(4), upper=np.full(4, np.inf))
 
 
 LP_CASES = {"infeasible_with_ray": (INFEASIBLE_WITH_RAY_LP, INFEASIBLE),
@@ -264,18 +256,20 @@ LP_CASES = {"infeasible_with_ray": (INFEASIBLE_WITH_RAY_LP, INFEASIBLE),
             "degenerate": (DEGENERATE_LP, OPTIMAL)}
 
 
-def _linprog_status(form):
-    res = linprog(form.c, A_ub=form.A_ub, b_ub=form.b_ub,
-                  bounds=np.column_stack([form.lower, form.upper]),
+def _linprog_status(problem):
+    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
+    res = linprog(problem.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                  b_eq=b_eq,
+                  bounds=np.column_stack([problem.lower, problem.upper]),
                   method="highs-ds")
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
 
 
 @pytest.mark.parametrize("case", list(LP_CASES))
 def test_lp_status_matches_linprog(case):
-    form, expected = LP_CASES[case]
-    assert _linprog_status(form) == expected
-    res = solve_lp(form)
+    problem, expected = LP_CASES[case]
+    assert _linprog_status(problem) == expected
+    res = solve_lp(problem)
     assert res.status == expected
     assert (res.values is not None) == (expected == OPTIMAL)
 
@@ -296,9 +290,9 @@ def _report_status(monkeypatch, name, presolve_too=False):
 @pytest.mark.parametrize("case", ["infeasible_with_ray", "infeasible",
                                   "unbounded"])
 def test_unbounded_or_infeasible_settled_by_presolve(monkeypatch, case):
-    form, expected = LP_CASES[case]
+    problem, expected = LP_CASES[case]
     _report_status(monkeypatch, "kUnboundedOrInfeasible")
-    assert solve_lp(form).status == expected == _linprog_status(form)
+    assert solve_lp(problem).status == expected == _linprog_status(problem)
 
 
 @pytest.mark.parametrize("name,presolve_too", [
@@ -319,43 +313,57 @@ def _with_nan(values):
 
 
 # HiGHS reads its input buffers by the counts it is given, so every length
-# must be checked against c and the matrix shapes before the model is loaded
-_EQ_ROW = {"A_eq": np.array([[1.0, 1.0]]), "b_eq": np.array([1.0])}
-
-
+# must be checked against the objective and the matrix shapes before the
+# model is loaded.  DEGENERATE_LP's rows are all <= rows, so the ids name
+# A and rhs by the relaxation block they form, A_ub and b_ub.
 @pytest.mark.parametrize("changes", [
-    {"c": _with_nan(DEGENERATE_LP.c)},
-    {"A_ub": _with_nan(DEGENERATE_LP.A_ub)},
-    {"b_ub": _with_nan(DEGENERATE_LP.b_ub)},
-    {"c": np.array([[-1.0, 0.0]])},
+    {"objective": _with_nan(DEGENERATE_LP.objective)},
+    {"A": replace(DEGENERATE_LP.A, data=_with_nan(DEGENERATE_LP.A.data))},
+    {"rhs": _with_nan(DEGENERATE_LP.rhs)},
+    {"objective": DEGENERATE_LP.objective[None, :]},
     {"lower": np.zeros(1)},
     {"upper": np.full(3, 10.0)},
-    {"A_ub": DEGENERATE_LP.A_ub[:, :1]},
-    {"b_ub": DEGENERATE_LP.b_ub[:3]},
-    {"b_ub": None},
-    {**_EQ_ROW, "A_eq": np.array([[1.0, 1.0, 1.0]])},
-    {**_EQ_ROW, "b_eq": np.ones(2)},
-    {"b_eq": np.ones(1)},
+    {"A": package_csr([[1.0], [1.0], [2.0], [1.0]])},
+    {"rhs": DEGENERATE_LP.rhs[:3]},
+    {"sense": DEGENERATE_LP.sense[:3]},
+    {"sense": np.array([LE, LE, ">", LE])},
 ], ids=["c nan", "A_ub nan", "b_ub nan", "c 2-D", "lower short",
-        "upper long", "A_ub narrow", "b_ub short", "b_ub missing",
-        "A_eq wide", "b_eq long", "A_eq missing"])
+        "upper long", "A_ub narrow", "b_ub short", "sense short",
+        "sense unknown"])
 def test_lp_rejects_malformed_input(changes):
     with pytest.raises(ValueError):
         solve_lp(replace(DEGENERATE_LP, **changes))
-    # a loaded model checks the bounds of each later solve as well
+    # a loaded model checks the costs and bounds of each later solve as well
     model = HighsLp(SolveOptions())
     solve_lp(DEGENERATE_LP, model=model)
-    if {"lower", "upper"} & set(changes):
+    if {"objective", "lower", "upper"} >= set(changes):
         with pytest.raises(ValueError):
             solve_lp(replace(DEGENERATE_LP, **changes), model=model)
+
+
+@pytest.mark.parametrize("sense", [">", "=>", "="])
+def test_unknown_sense_is_refused(sense):
+    # x (sense) 2 with 0 <= x <= 5: an unknown sense used to be read as <=
+    problem = make_problem([1.0], [[1.0]], [sense], [2.0], [0], [5], [False])
+    for solve in (solve_lp, solve_milp):
+        with pytest.raises(ValueError, match=f"row 0 \\(row0\\) has sense "
+                                             f"'{sense}'"):
+            solve(problem)
 
 
 def test_model_refuses_another_lp():
     model = HighsLp(SolveOptions())
     solve_lp(DEGENERATE_LP, model=model)
-    with pytest.raises(ValueError):
-        solve_lp(replace(DEGENERATE_LP, c=DEGENERATE_LP.c.copy()),
-                 model=model)
+    # equal rows rebuilt into new arrays are another constraint system
+    A = DEGENERATE_LP.A
+    for rebuilt in ({"A": replace(A, data=A.data.copy())},
+                    {"sense": DEGENERATE_LP.sense.copy()},
+                    {"rhs": DEGENERATE_LP.rhs.copy()}):
+        with pytest.raises(ValueError):
+            solve_lp(replace(DEGENERATE_LP, **rebuilt), model=model)
+    # another objective over the held rows is re-solved
+    other = replace(DEGENERATE_LP, objective=np.array([1.0, 0.0]))
+    assert solve_lp(other, model=model).objective == 0.0
 
 
 def _ladder_rung(k, seed=0):
@@ -383,7 +391,7 @@ def _node_fix_sets(problem, rng):
     _, t, esag = reg.key_of(int(int_cols[0]))     # ("b_es", t, name)
     mode, charge = reg[("b_es", t, esag)], reg[("P_ch", t, esag)]
     conflict = {mode: 1.0, charge: float(problem.upper[charge])}
-    root = solve_lp(_node_form(problem, {}))
+    root = solve_lp(_node(problem, {}))
     dive = {int(j): float(np.floor(root.values[j] + 0.5)) for j in int_cols}
     return [
         ("root", {}),
@@ -399,13 +407,11 @@ def _node_fix_sets(problem, rng):
     ]
 
 
-def _node_form(problem, fixes):
-    A_ub, b_ub, A_eq, b_eq = problem.relaxation_arrays
+def _node(problem, fixes):
     lower, upper = problem.lower.copy(), problem.upper.copy()
     for j, v in fixes.items():
         lower[j] = upper[j] = v
-    return LpStandardForm(problem.objective, A_ub, b_ub, A_eq, b_eq,
-                          lower, upper)
+    return replace(problem, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
@@ -418,9 +424,9 @@ def test_persistent_model_matches_fresh_model(scenario):
     warm_iterations = cold_iterations = 0
     statuses = {}
     for label, fixes in _node_fix_sets(problem, rng):
-        form = _node_form(problem, fixes)
-        warm = solve_lp(form, opts, model)
-        cold = solve_lp(form, opts)
+        node = _node(problem, fixes)
+        warm = solve_lp(node, opts, model)
+        cold = solve_lp(node, opts)
         statuses[label] = warm.status
         assert warm.status == cold.status, label
         if cold.status == OPTIMAL:
@@ -458,12 +464,11 @@ def test_cost_changes_match_fresh_model(scenario):
     for label, fixes in _node_fix_sets(problem, rng):
         # new bounds under the held costs, then new costs under those bounds
         for step in ("bounds", "costs"):
-            if step == "costs" and model.loaded:
+            if step == "costs":
                 c = next(costs)
-                model.change_costs(c)
-            form = replace(_node_form(problem, fixes), c=c)
-            warm = solve_lp(form, opts, model)
-            cold = solve_lp(form, opts)
+            node = replace(_node(problem, fixes), objective=c)
+            warm = solve_lp(node, opts, model)
+            cold = solve_lp(node, opts)
             assert warm.status == cold.status, (label, step)
             if cold.status == OPTIMAL:
                 assert abs(warm.objective - cold.objective) <= \
@@ -476,20 +481,17 @@ def test_cost_changes_match_fresh_model(scenario):
 
 def test_change_costs_rejects_bad_vectors():
     model = HighsLp(SolveOptions())
-    with pytest.raises(ValueError):        # nothing loaded yet
-        model.change_costs(DEGENERATE_LP.c)
     solve_lp(DEGENERATE_LP, model=model)
-    for bad in (_with_nan(DEGENERATE_LP.c), np.zeros(3),
-                DEGENERATE_LP.c[None, :], np.full(2, np.inf)):
+    c = DEGENERATE_LP.objective
+    for bad in (_with_nan(c), np.zeros(3), c[None, :], np.full(2, np.inf)):
         with pytest.raises(ValueError):
-            model.change_costs(bad)
-    # a rejected change leaves the held LP as it was
+            solve_lp(replace(DEGENERATE_LP, objective=bad), model=model)
+        # a rejected objective leaves the held LP as it was: re-solving
+        # under the held costs sends HiGHS no cost
+        assert solve_lp(DEGENERATE_LP, model=model).objective == -1.0
+    other = replace(DEGENERATE_LP, objective=np.array([1.0, 0.0]))
+    assert solve_lp(other, model=model).objective == 0.0
     assert solve_lp(DEGENERATE_LP, model=model).objective == -1.0
-    c = np.array([1.0, 0.0])
-    model.change_costs(c)
-    assert solve_lp(replace(DEGENERATE_LP, c=c), model=model).objective == 0.0
-    with pytest.raises(ValueError):        # the old costs are gone
-        solve_lp(DEGENERATE_LP, model=model)
 
 
 def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
@@ -497,7 +499,7 @@ def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
     gap = SolveOptions().relative_gap * max(1.0, abs(best.objective))
     int_cols = np.flatnonzero(problem.integrality)
     # every storage charging and every EV station off: feasible, not optimal
-    worse = solve_lp(_node_form(problem, {int(j): 0.0 for j in int_cols}))
+    worse = solve_lp(_node(problem, {int(j): 0.0 for j in int_cols}))
     assert worse.status == OPTIMAL and worse.objective > best.objective + 1.0
     for start in (best.values, worse.values):
         seeded = solve_milp(problem, start=start)
