@@ -18,9 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# decode is not called here: bench/tracing.py wraps it under this name
 from .formulation import (
     MilpProblem,
     Schedule,
+    VariableRegistry,
     build,
     decode,
     settlement_prices,
@@ -32,7 +34,14 @@ from .model import (
     validate_scenario,
 )
 from .scenario_io import fmt, scenario_hash
-from .solver import OPTIMAL, BadStart, HighsLp, SolveOptions, solve_milp
+from .solver import (
+    OPTIMAL,
+    BadStart,
+    HighsLp,
+    HighsState,
+    SolveOptions,
+    solve_milp,
+)
 
 
 class StaleSchedule(ValueError):
@@ -82,10 +91,18 @@ def compute_revenue(schedule: Schedule, scenario: Scenario) -> RevenueReport:
     if (scenario is not schedule.scenario
             and schedule.scenario_hash != scenario_hash(scenario)):
         raise StaleSchedule("schedule does not belong to this scenario")
-    paid = schedule.prices * schedule.values
+    return settle(scenario, schedule.registry, schedule.prices,
+                  schedule.values)
+
+
+def settle(scenario: Scenario, registry: VariableRegistry,
+           prices: np.ndarray, values: np.ndarray) -> RevenueReport:
+    """The payments per entity of the columns ``values`` under the
+    scenario's price table ``prices`` (its ``settlement_prices`` over
+    ``registry``)."""
     # (energy, capacity, mileage) paid to each aggregator and, per hour, by
     # the DSO's columns; the DSO's position is what it is paid, so negated
-    totals = schedule.registry.sum_by_owner(paid)
+    totals = registry.sum_by_owner(prices * values)
     steps = scenario.horizon.steps
     hours = [totals[t] for t in steps]
     energy, capacity, mileage = (0.0 - sum(part) for part in zip(*hours))
@@ -149,8 +166,9 @@ CHUNK_CASES = 10
 
 @dataclass
 class _WarmStart:
-    """What a chunk's consecutive cases share: the first case's problem,
-    one HiGHS model holding its constraints, and the last case's optimum."""
+    """What a chunk's consecutive cases share: the problem whose
+    constraints they reuse, one HiGHS model holding those constraints, and
+    the last case's optimum."""
 
     base: MilpProblem | None = None
     model: HighsLp | None = None
@@ -158,6 +176,16 @@ class _WarmStart:
 
     def reset(self) -> None:
         self.base = self.model = self.start = None
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """Where case 1 of a sweep ended, for every chunk to start from: its
+    problem, the state of its HiGHS model and its optimum."""
+
+    base: MilpProblem
+    state: HighsState
+    start: np.ndarray
 
 
 def _case_problem(case: Scenario, base: MilpProblem | None) -> MilpProblem:
@@ -192,8 +220,8 @@ def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,
             return SweepCase(i, multiplier, solution.status,
                             solution.objective, None)
         warm.start = solution.values
-        schedule = decode(case, problem, solution.values, solution.status)
-        revenue = compute_revenue(schedule, case)
+        revenue = settle(case, problem.registry, problem.prices,
+                         solution.values)
         return SweepCase(i, multiplier, solution.status,
                         solution.objective, revenue)
     except Exception as exc:   # per-case failures are recorded, not raised
@@ -201,9 +229,24 @@ def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,
         return SweepCase(i, multiplier, "Error", float("nan"), None, str(exc))
 
 
-def _solve_chunk(args) -> list[SweepCase]:
-    scenario, target, indices, opts = args
+def _solve_first(scenario: Scenario, target: str,
+                 opts: SolveOptions) -> tuple[SweepCase, _Snapshot | None]:
+    """Case 1, cold, and the snapshot of where it ended; None for the
+    snapshot unless it is optimal."""
     warm = _WarmStart()
+    case = _solve_case(scenario, target, 1, opts, warm)
+    if warm.model is None:
+        return case, None
+    return case, _Snapshot(warm.base, warm.model.state(), warm.start)
+
+
+def _solve_chunk(args) -> list[SweepCase]:
+    scenario, target, indices, opts, snapshot = args
+    warm = _WarmStart()
+    if snapshot is not None:
+        warm.base, warm.model, warm.start = (snapshot.base, HighsLp(opts),
+                                             snapshot.start)
+        warm.model.restore(snapshot.base, snapshot.state)
     return [_solve_case(scenario, target, i, opts, warm) for i in indices]
 
 
@@ -212,9 +255,12 @@ class BadThreadCount(ValueError):
 
 
 def _env_threads() -> int:
-    """The sweep worker count: ``DSO_THREADS`` if set, else the CPU count."""
+    """The sweep worker count: ``DSO_THREADS`` if set, else the number of
+    CPUs this process may run on."""
     raw = os.environ.get("DSO_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(raw)
@@ -233,17 +279,25 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     for i = 1..cases; output is ordered by i.
 
     Only the target's objective coefficients change between cases, so the
-    feasible set is the same in every case.  The cases are solved in
-    chunks of ``CHUNK_CASES`` consecutive indices.  A chunk builds its
-    first case once; each later case reuses those constraints with its own
-    price table, re-solves on the same HiGHS model from the basis the last
-    case left, and seeds its incumbent with the last case's optimum, which
-    is feasible by construction.  A case's price table gives both its
-    objective and its revenue.  A case that fails or ends non-optimal
-    makes the next one start cold.  Chunks run in parallel on ``threads``
-    workers (default ``DSO_THREADS``, else the CPU count), but their
-    boundaries depend only on ``cases``, so every case starts from the
-    same state and the results do not depend on the worker count.
+    feasible set is the same in every case.  Case 1 is built and solved
+    cold, once; where it ends (its problem, the HiGHS model's costs,
+    bounds, root cuts and basis, and its optimum) is the snapshot that
+    every other case starts from.  The other cases are solved in chunks
+    of ``CHUNK_CASES`` consecutive indices (the first chunk is cases 2 to
+    ``CHUNK_CASES``).  Each chunk restores the snapshot into a HiGHS model
+    of its own; each of its cases reuses case 1's constraints and cuts
+    with its own price table, re-solves from the basis the last case
+    left, and seeds its incumbent with the last case's optimum, which is
+    feasible by construction.  A case's price table gives both its
+    objective and its revenue (:func:`settle`, as in
+    :func:`compute_revenue`), with no schedule decoded.  A case that fails
+    or ends non-optimal makes the next one start cold, and without a
+    snapshot (case 1 failed) every chunk starts cold.  Case 1 and then
+    the chunks run on ``threads`` worker processes (default
+    ``DSO_THREADS``, else the CPUs this process may use), case 1 as the
+    pool's first job; but the chunk boundaries depend only on ``cases``,
+    so every case starts from the same state and the results do not
+    depend on the worker count.
 
     Since the feasible set is shared, the target's energy weighted by its
     base offers (energy revenue / multiplier) is non-increasing in the
@@ -256,20 +310,29 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     opts = opts or SolveOptions()
     if threads is None:
         threads = _env_threads()
-    indices = range(1, cases + 1)
-    jobs = [(scenario, target, tuple(indices[k:k + CHUNK_CASES]), opts)
-            for k in range(0, cases, CHUNK_CASES)]
+    if cases < 1:
+        return SweepResult(target=target, cases=())
+    # CHUNK_CASES consecutive indices each, without case 1
+    spans = (range(max(k, 2), min(k + CHUNK_CASES, cases + 1))
+             for k in range(1, cases + 1, CHUNK_CASES))
+    jobs = [(scenario, target, tuple(span), opts) for span in spans if span]
     if threads > 1 and len(jobs) > 1:
         # imported here, as only a parallel sweep starts worker processes:
         # the import costs every other command about 1 MB and 25 modules
         from concurrent.futures import ProcessPoolExecutor
 
+        # case 1 runs in the pool too: solved here, its HiGHS and build
+        # memory would be copied into every worker forked after it
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            chunks = list(pool.map(_solve_chunk, jobs))
+            first = pool.submit(_solve_first, scenario, target, opts)
+            case, snapshot = first.result()
+            chunks = list(pool.map(_solve_chunk,
+                                   [job + (snapshot,) for job in jobs]))
     else:
-        chunks = [_solve_chunk(job) for job in jobs]
-    return SweepResult(target=target,
-                       cases=tuple(case for chunk in chunks for case in chunk))
+        case, snapshot = _solve_first(scenario, target, opts)
+        chunks = [_solve_chunk(job + (snapshot,)) for job in jobs]
+    return SweepResult(target=target, cases=(case,) + tuple(
+        c for chunk in chunks for c in chunk))
 
 
 def export_sweep(result: SweepResult, path: str) -> None:

@@ -234,8 +234,8 @@ class MilpProblem:
 
         ValueError unless ``A`` is m x ``num_cols``, ``sense``, ``rhs`` and
         ``row_names`` are m long, ``A`` and ``rhs`` are finite and every
-        sense is LE, GE or EQ (naming the first row with another sense):
-        HiGHS reads its buffers by these counts."""
+        sense is known (:meth:`check_senses`): HiGHS reads its buffers by
+        these counts."""
         m = len(self.rhs)
         if (self.A.shape != (m, self.num_cols) or self.rhs.shape != (m,)
                 or self.sense.shape != (m,) or len(self.row_names) != m):
@@ -243,12 +243,7 @@ class MilpProblem:
                 f"A has shape {self.A.shape}, rhs {self.rhs.shape}, sense "
                 f"{self.sense.shape} and row_names {len(self.row_names)}; "
                 f"expected ({m}, {self.num_cols}) and {m} rows")
-        known = (self.sense == LE) | (self.sense == GE) | (self.sense == EQ)
-        if not known.all():
-            i = int(np.argmin(known))
-            raise ValueError(
-                f"row {i} ({self.row_names[i]}) has sense "
-                f"{str(self.sense[i])!r}; expected {LE!r}, {GE!r} or {EQ!r}")
+        self.check_senses()
         if not np.isfinite(self.rhs).all() or not np.isfinite(
                 self.A.data).all():
             raise ValueError("A and rhs must not contain inf or nan")
@@ -257,6 +252,16 @@ class MilpProblem:
         order = np.argsort(eq, kind="stable")    # the <= rows first
         return (self.A.rows(order, ge), np.where(eq, rhs, -np.inf)[order],
                 rhs[order])
+
+    def check_senses(self) -> None:
+        """ValueError naming the first row whose sense is not LE, GE or
+        EQ."""
+        known = (self.sense == LE) | (self.sense == GE) | (self.sense == EQ)
+        if not known.all():
+            i = int(np.argmin(known))
+            raise ValueError(
+                f"row {i} ({self.row_names[i]}) has sense "
+                f"{str(self.sense[i])!r}; expected {LE!r}, {GE!r} or {EQ!r}")
 
     @cached_property
     def relaxation_arrays(self):
@@ -282,10 +287,12 @@ class MilpProblem:
 
     def row_residuals(self, x: np.ndarray) -> np.ndarray:
         """Violation of each row by x (zero where it holds), aligned with
-        ``row_names``."""
+        ``row_names``; ValueError for an unknown sense
+        (:meth:`check_senses`)."""
         if len(x) != self.num_cols:
             raise DimensionMismatch(
                 f"solution has {len(x)} entries, problem has {self.num_cols}")
+        self.check_senses()
         excess = self.A @ x - self.rhs
         excess = np.where(self.sense == GE, -excess, excess)
         return np.where(self.sense == EQ, np.abs(excess),

@@ -27,11 +27,16 @@ BLOCK = 1024    # columns per COLUMNS chunk
 
 
 def write_mps(problem: MilpProblem, path: str, name: str = "DSOMILP") -> None:
+    """Write the problem as MPS; ValueError, before the file is opened, for
+    a row sense other than LE, GE or EQ."""
+    problem.check_senses()
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_chunks(problem, name))
 
 
 def format_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
+    """The MPS text of the problem; ValueError as for ``write_mps``."""
+    problem.check_senses()
     return "".join(_chunks(problem, name))
 
 

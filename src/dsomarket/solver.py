@@ -19,17 +19,22 @@ few pivots instead of a full solve.  ``solve_lp`` solves one problem's
 relaxation on a fresh model, or on a held one.  Problems that share one
 constraint system and differ in their objective, such as the cases of a
 price sweep, can share one model (only the changed costs are sent) and
-seed each search with the previous optimum.
+seed each search with the previous optimum.  ``HighsLp.state`` takes what
+a model holds beyond its problem's rows (costs, column bounds, cut rows
+and basis) as arrays that pickle, and ``HighsLp.restore`` loads it into a
+fresh instance, in this process or another, which then re-solves the
+held LP without a simplex iteration.
 
 The branch-and-bound search on top is our own and has one form,
 ``SEARCH``: best-first node order with insertion-order tie-breaking,
 branching on the most fractional binary with lowest-index tie-breaking.
 Before it branches, the root adds rounds of Gomory mixed-integer cuts
 read off the HiGHS tableau.  The cut rows live only in the HiGHS model,
-never in the problem's matrix, so a model shared by the cases of a sweep
-keeps them for every case: they depend only on the constraints, which
-the cases share.  A cut that a known feasible point shows wrong, and an
-LP status HiGHS cannot explain, make the model start again without cuts.
+never in the problem's matrix, so a model shared by the cases of a sweep,
+or restored from another's state, keeps them for every case: they depend
+only on the constraints, which the cases share.  A cut that a known
+feasible point shows wrong, and an LP status HiGHS cannot explain, make
+the model start again without cuts.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds",
                  "changeColsCost", "run", "getModelStatus",
                  "modelStatusToString", "getInfo", "getSolution",
                  "getBasicVariables", "getReducedRow", "getBasisInverseRow",
-                 "addRows")
+                 "addRows", "getBasis", "setBasis")
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 SCIPY_NEEDED = "scipy>=1.17"
 
@@ -181,6 +186,21 @@ def highs_bindings():
     return core
 
 
+@dataclass(frozen=True)
+class HighsState:
+    """What a HighsLp holds beyond its problem's rows, as arrays that
+    pickle: the costs and column bounds of its last solve, its cut rows
+    (as ``HighsLp.cuts``), and the basis that solve ended on, one
+    ``HighsBasisStatus`` value per column and per row, cut rows last."""
+
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    cuts: tuple
+    col_status: np.ndarray      # int8
+    row_status: np.ndarray      # int8
+
+
 class HighsLp:
     """The LP relaxation of one constraint system, held by a HiGHS
     instance and re-solved under other costs and column bounds.
@@ -192,14 +212,18 @@ class HighsLp:
     do; only the costs and column bounds that differ from the held ones are
     sent to HiGHS, and the dual simplex restarts from the basis the last
     solve left.  Rows beyond the problem's own come only from
-    ``separate_cuts``.  A solve that ends in a status other than the four
-    verdicts is run once more on a fresh, cut-free instance.
-    This class is the package's only user of the private HiGHS bindings.
+    ``separate_cuts``, here or in the HighsLp a restored state came from.
+    A solve that ends in a status other than the four verdicts is run once
+    more on a fresh, cut-free instance.  ``state`` and ``restore`` carry a
+    held LP, its cuts and its basis over to another instance, in this
+    process or another.  This class is the package's only user of the private HiGHS bindings.
     """
 
     _core = highs_bindings()
     _VERDICTS = {"kOptimal": OPTIMAL, "kInfeasible": INFEASIBLE,
                  "kUnbounded": UNBOUNDED, "kIterationLimit": ITERATION_LIMIT}
+    # HighsBasisStatus members by value
+    _STATUSES = sorted(_core.HighsBasisStatus.__members__.values(), key=int)
 
     def __init__(self, opts: SolveOptions, presolve: bool = False) -> None:
         self._opts = opts
@@ -256,6 +280,56 @@ class HighsLp:
         ``separate_cuts`` added them: ``(columns, coefficients, lower)``
         each, for the row ``coefficients @ x[columns] >= lower``."""
         return self._cuts
+
+    def state(self) -> HighsState:
+        """The held costs, column bounds, cuts and basis, for ``restore``;
+        ValueError if no LP is held."""
+        if self._problem is None:
+            raise ValueError("a HighsLp holds no LP before its first solve")
+        basis = self._highs.getBasis()
+        if not basis.valid:
+            raise SolverError("HiGHS holds no valid basis")
+        return HighsState(
+            self._c, self._lower, self._upper, self._cuts,
+            np.array([int(v) for v in basis.col_status], dtype=np.int8),
+            np.array([int(v) for v in basis.row_status], dtype=np.int8))
+
+    def restore(self, problem, state: HighsState) -> None:
+        """Load ``problem``'s rows into a fresh HiGHS instance under the
+        costs, column bounds, cuts and basis of ``state``, taken from a
+        HighsLp that held the same constraint system.  The next ``solve``
+        of ``problem`` then needs no simplex iterations; ValueError if the
+        state does not fit the problem."""
+        n, m = problem.num_cols, len(problem.rhs) + len(state.cuts)
+        if not (state.c.shape == state.lower.shape == state.upper.shape
+                == state.col_status.shape == (n,)
+                and state.row_status.shape == (m,)):
+            raise ValueError(f"the state does not fit a problem of {n} "
+                             f"columns and {m} rows with its cuts")
+        self.drop_cuts()
+        self._load(problem, state.c, state.lower, state.upper)
+        self._c, self._lower, self._upper = state.c, state.lower, state.upper
+        self._add_cuts(state.cuts)
+        basis = self._core.HighsBasis()
+        basis.col_status, basis.row_status = (
+            [self._STATUSES[v] for v in status.tolist()]
+            for status in (state.col_status, state.row_status))
+        basis.valid, basis.alien = True, False
+        self._check(self._highs.setBasis(basis), "setting the basis")
+
+    def _add_cuts(self, cuts) -> None:
+        """Add ``cuts`` (as ``cuts`` gives them) to HiGHS in one
+        ``addRows`` and to the held ones."""
+        if not cuts:
+            return
+        cols, coefs, lower = zip(*cuts)
+        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
+        self._check(self._highs.addRows(
+            len(cuts), np.array(lower), np.full(len(cuts), np.inf),
+            int(starts[-1] + len(cols[-1])), starts.astype(np.int32),
+            np.concatenate(cols).astype(np.int32), np.concatenate(coefs)),
+            "adding cuts")
+        self._cuts += tuple(cuts)
 
     def _update(self, c, lower, upper) -> None:
         """Send HiGHS the costs and the column bounds that differ from the
@@ -437,17 +511,9 @@ class HighsLp:
             cut = self._clean_cut(g, beta, x, known)
             if cut is not None:
                 cuts.append(cut)
-        if not cuts:
-            return 0
-        cols, coefs, lower = zip(*cuts)
-        starts = np.cumsum([0] + [len(c) for c in cols[:-1]])
-        self._check(self._highs.addRows(
-            len(cuts), np.array(lower), np.full(len(cuts), np.inf),
-            int(starts[-1] + len(cols[-1])), starts.astype(np.int32),
-            np.concatenate(cols).astype(np.int32), np.concatenate(coefs)),
-            "adding cuts")
-        self._cuts += tuple(cuts)
-        self._optimal_basis = False
+        self._add_cuts(cuts)
+        if cuts:
+            self._optimal_basis = False
         return len(cuts)
 
 

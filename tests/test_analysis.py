@@ -1,5 +1,6 @@
 """Revenue decomposition, the regrouping identity, and the price sweep."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from dsomarket.analysis import (
     regrouping_residual,
     run_sweep,
     scale_energy_offers,
+    settle,
 )
 from dsomarket.formulation import build, build_objective, decode
 from dsomarket.model import DemandBlock
@@ -215,19 +217,25 @@ def test_sweep_chunks_independent_of_threads(bundled):
 
 
 def test_sweep_loads_highs_once_per_chunk(bundled, monkeypatch):
-    # a chunk's later cases share its first case's A, sense and rhs, so
-    # its model re-solves them under new costs without loading them again
-    loads = []
-    load = HighsLp._load
+    # case 1 loads its rows cold; each chunk loads them once more, into a
+    # model of its own restored from case 1's state, and its cases re-solve
+    # them under new costs without loading them again
+    loads, restores = [], []
+    load, restore = HighsLp._load, HighsLp.restore
 
-    def counted(self, *args):
+    def counted_load(self, *args):
         loads.append(self)
         load(self, *args)
-    monkeypatch.setattr(HighsLp, "_load", counted)
+
+    def counted_restore(self, *args):
+        restores.append(self)
+        restore(self, *args)
+    monkeypatch.setattr(HighsLp, "_load", counted_load)
+    monkeypatch.setattr(HighsLp, "restore", counted_restore)
     result = run_sweep(bundled, "ddgag-1", cases=2 * CHUNK_CASES, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)
-    assert len(loads) == 2
-    assert loads[0] is not loads[1]
+    assert len(loads) == 3 and len(set(map(id, loads))) == 3
+    assert restores == loads[1:]
 
 
 @pytest.mark.parametrize("failure", ["raises", "node limit"])
@@ -253,17 +261,52 @@ def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
     else:
         assert failed.status == NODE_LIMIT
     assert failed.revenue is None
-    # the case after the failure starts without the last optimum and on a
-    # fresh model; the one after that is warm again
-    assert calls[1] == (calls[0][0], True, True)
+    # case 1 is cold; case 2 starts from case 1's optimum on the chunk's
+    # restored model; the case after the failure starts without the last
+    # optimum and on a fresh model; the one after that is warm again
+    assert calls[0][1:] == (False, False)
+    assert calls[1][1:] == (True, True)
+    assert calls[1][0] is not calls[0][0]
+    assert calls[2][0] is calls[1][0]
     assert calls[3][1:] == (False, False)
-    assert calls[3][0] is not calls[0][0]
+    assert calls[3][0] is not calls[1][0]
     assert calls[4] == (calls[3][0], True, True)
     later = result.cases[3:]
     assert all(c.status == OPTIMAL for c in later)
     cold = _cold_objectives(bundled, "esag-1", range(4, cases + 1))
     for case, reference in zip(later, cold):
         _assert_within_gap(case.objective, reference)
+
+
+def test_sweep_without_first_case_starts_every_chunk_cold(bundled,
+                                                          monkeypatch):
+    # case 1 fails, so there is no snapshot: each chunk builds and solves
+    # its first case cold, and cases 2-40 are solved as in a full sweep
+    calls, builds = [], []
+
+    def failing_first(problem, opts, **warm):
+        calls.append((warm["model"].loaded, warm["start"] is not None))
+        if len(calls) == 1:
+            raise SolverError("injected failure")
+        return solve_milp(problem, opts, **warm)
+
+    def counted_build(scenario):
+        builds.append(scenario)
+        return build(scenario)
+    full = run_sweep(bundled, "ddgag-1", threads=1)
+    monkeypatch.setattr(analysis, "solve_milp", failing_first)
+    monkeypatch.setattr(analysis, "build", counted_build)
+    result = run_sweep(bundled, "ddgag-1", threads=1)
+    assert (result.cases[0].status, result.cases[0].error) == \
+        ("Error", "injected failure")
+    assert all(c.status == OPTIMAL for c in result.cases[1:])
+    assert len(builds) == 5
+    starts = [1, CHUNK_CASES, 2 * CHUNK_CASES, 3 * CHUNK_CASES]
+    assert [calls[k] for k in starts] == [(False, False)] * 4
+    assert all(warm == (True, True) for k, warm in enumerate(calls)
+               if k and k not in starts)
+    for case, reference in zip(result.cases[1:], full.cases[1:]):
+        _assert_within_gap(case.objective, reference.objective)
 
 
 def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
@@ -280,13 +323,26 @@ def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
     monkeypatch.setattr(analysis, "solve_milp", spoiled)
     result = run_sweep(bundled, "esag-1", cases=CHUNK_CASES, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)
-    # case 2 is solved again on the chunk's model without its start, and
-    # case 3 is warm again
+    # case 2 is solved again on the chunk's restored model without its
+    # start, and case 3 is warm again
     assert [warm for _, warm in calls[:4]] == [False, True, False, True]
-    assert len({id(model) for model, _ in calls}) == 1
+    chunk_model = calls[1][0]
+    assert calls[0][0] is not chunk_model
+    assert all(model is chunk_model for model, _ in calls[1:])
     cold = _cold_objectives(bundled, "esag-1", range(1, CHUNK_CASES + 1))
     for case, reference in zip(result.cases, cold):
         _assert_within_gap(case.objective, reference)
+
+
+@pytest.mark.parametrize("target", ["ddgag-1", "esag-1", "drag-1", "evcs-1"])
+def test_sweep_csv_independent_of_threads(bundled, tmp_path, target):
+    # every chunk restores case 1's snapshot, whichever process runs it
+    texts = []
+    for threads in (1, 2, 3):
+        path = tmp_path / f"sweep-{threads}.csv"
+        export_sweep(run_sweep(bundled, target, threads=threads), str(path))
+        texts.append(path.read_bytes())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_export_sweep_layout(tmp_path):
@@ -303,10 +359,11 @@ def test_export_sweep_layout(tmp_path):
     assert any(line.split(",")[2] == "dso_wholesale" for line in lines[1:])
 
 
-def test_sweep_hashes_and_prices_each_case_once(monkeypatch):
-    # one scenario hash (at decode) and one price table (for the objective,
-    # reused for revenue) per case, cold chunk starts included
-    counts = {"scenario_hash": 0, "settlement_prices": 0}
+def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
+    # one build (case 1's), one price table per case (for the objective,
+    # reused for revenue), and no schedule decoded or scenario hashed
+    counts = {"build": 0, "decode": 0, "scenario_hash": 0,
+              "settlement_prices": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -321,7 +378,17 @@ def test_sweep_hashes_and_prices_each_case_once(monkeypatch):
     scenario = make_scenario(T=2, kinds=("ddgag", "esag"))
     result = run_sweep(scenario, "ddgag-x", cases=40, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)
-    assert counts == {"scenario_hash": 40, "settlement_prices": 40}
+    assert counts == {"build": 1, "decode": 0, "scenario_hash": 0,
+                      "settlement_prices": 40}
+    # each case settles as compute_revenue settles its decoded schedule
+    for case in (result.cases[0], result.cases[-1]):
+        scaled = scale_energy_offers(scenario, "ddgag-x", case.multiplier)
+        problem = build(scaled)
+        solution = solve_milp(problem)
+        schedule = decode(scaled, problem, solution.values, solution.status)
+        assert compute_revenue(schedule, scaled) == settle(
+            scaled, problem.registry, problem.prices, solution.values)
+        assert regrouping_residual(case.revenue, case.objective) <= 1e-9
 
     # compute_revenue still hashes any scenario but the one decoded from
     problem = build(scenario)
@@ -333,3 +400,16 @@ def test_sweep_hashes_and_prices_each_case_once(monkeypatch):
     other = scale_energy_offers(scenario, "ddgag-x", 0.5)
     with pytest.raises(StaleSchedule):
         compute_revenue(schedule, other)
+
+
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("DSO_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert analysis._env_threads() == 3
+    # where the platform has no affinity call, the CPU count stands
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert analysis._env_threads() == 64
+    monkeypatch.setenv("DSO_THREADS", "2")
+    assert analysis._env_threads() == 2

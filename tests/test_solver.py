@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from dsomarket import analysis, solver
 from dsomarket.analysis import run_sweep, scale_energy_offers
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.formulation import LE, build, build_objective
+from dsomarket.mps import format_mps, write_mps
 from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import (
     HIGHS_METHODS,
@@ -342,13 +344,22 @@ def test_lp_rejects_malformed_input(changes):
 
 
 @pytest.mark.parametrize("sense", [">", "=>", "="])
-def test_unknown_sense_is_refused(sense):
+def test_unknown_sense_is_refused(sense, tmp_path):
     # x (sense) 2 with 0 <= x <= 5: an unknown sense used to be read as <=
+    # by the solver and the residuals, and was a KeyError in the MPS writer
     problem = make_problem([1.0], [[1.0]], [sense], [2.0], [0], [5], [False])
-    for solve in (solve_lp, solve_milp):
+    path = tmp_path / "problem.mps"
+    x = np.zeros(1)
+    for use, args in ((solve_lp, [problem]), (solve_milp, [problem]),
+                      (problem.relaxation_rows, []),
+                      (problem.row_residuals, [x]),
+                      (problem.max_residual, [x]),
+                      (format_mps, [problem]),
+                      (write_mps, [problem, str(path)])):
         with pytest.raises(ValueError, match=f"row 0 \\(row0\\) has sense "
                                              f"'{sense}'"):
-            solve(problem)
+            use(*args)
+    assert not path.exists()
 
 
 def test_model_refuses_another_lp():
@@ -522,6 +533,51 @@ def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
         solve_milp(problem, start=best.values[:-1])
 
 
+def test_restored_model_resolves_without_iterations(bundled_problem):
+    # a state carries the held costs, bounds, root cuts and basis over to a
+    # fresh instance, through pickle as a sweep's worker processes get it
+    model = HighsLp(SolveOptions())
+    assert solve_milp(bundled_problem, model=model).status == OPTIMAL
+    assert model.cuts
+    held = solve_lp(bundled_problem, model=model)
+    state = pickle.loads(pickle.dumps(model.state()))
+    restored = HighsLp(SolveOptions())
+    restored.restore(bundled_problem, state)
+    assert len(restored.cuts) == len(model.cuts)
+    assert all(np.array_equal(a, b) for cuts in zip(restored.cuts, model.cuts)
+               for a, b in zip(*cuts))
+    again = solve_lp(bundled_problem, model=restored)
+    assert again.status == OPTIMAL and again.iterations == 0
+    assert again.objective == held.objective
+    # a state fits only a problem of its own size, and needs a held LP
+    with pytest.raises(ValueError, match="does not fit"):
+        HighsLp(SolveOptions()).restore(DEGENERATE_LP, state)
+    with pytest.raises(ValueError, match="holds no LP"):
+        HighsLp(SolveOptions()).state()
+
+
+def test_restores_of_one_state_solve_alike(bundled, bundled_problem,
+                                           bundled_solution):
+    # two chunks that restore one snapshot solve their next case alike
+    model = HighsLp(SolveOptions())
+    solve_milp(bundled_problem, model=model)
+    state = model.state()
+    case = scale_energy_offers(bundled, "esag-1", 0.2)
+    problem = replace(bundled_problem, objective=build_objective(
+        case, bundled_problem.registry))
+    solutions = []
+    for _ in range(2):
+        restored = HighsLp(SolveOptions())
+        restored.restore(bundled_problem, state)
+        solutions.append(solve_milp(problem, model=restored,
+                                    start=bundled_solution.values))
+    a, b = solutions
+    assert a.status == b.status == OPTIMAL
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.objective, a.nodes_explored, a.lp_iterations) == \
+        (b.objective, b.nodes_explored, b.lp_iterations)
+
+
 def test_highs_bindings_guard(monkeypatch):
     core = highs_bindings()
     assert all(callable(getattr(core._Highs, name))
@@ -531,11 +587,12 @@ def test_highs_bindings_guard(monkeypatch):
                             inspect.getsource(solver)))
     assert called == set(HIGHS_METHODS)
 
-    # the node LPs' bound changes, and the tableau reads and row additions
-    # of the root cuts
+    # the node LPs' bound changes, the tableau reads and row additions of
+    # the root cuts, and the basis a state carries to a restored model
     assert {"getBasicVariables", "getReducedRow", "getBasisInverseRow",
-            "addRows"} < called
-    for missing in ("changeColsBounds", "getReducedRow", "addRows"):
+            "addRows", "getBasis", "setBasis"} < called
+    for missing in ("changeColsBounds", "getReducedRow", "addRows",
+                    "setBasis"):
         stub = types.ModuleType("stub_highs")
         stub._Highs = type("_Highs", (), {name: None for name in HIGHS_METHODS
                                           if name != missing})
