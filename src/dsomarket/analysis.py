@@ -14,7 +14,8 @@ payments of its substation columns, reported with income positive.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from time import process_time
 
 import numpy as np
 
@@ -160,94 +161,192 @@ def scale_energy_offers(scenario: Scenario, target: str,
 
 
 # Sweep cases per chunk.  A constant, not an option: the chunks fix which
-# case warm-starts which, so they must not depend on the worker count.
+# cases bracket which, so they must not depend on the worker count.
 CHUNK_CASES = 10
+
+# The chunks go to worker processes only when case 1's cold solve took
+# more CPU seconds than this.  Measured on 2 CPUs, ddgag-1 sweeps of the
+# bundled case with its network base scaled, median wall time in one
+# process -> on two workers: case 1 at 0.035 s, 0.078 -> 0.113 s; at
+# 0.08 s, 0.96 -> 0.95 s; at 0.13 s, 13.7 -> 11.1 s; at 0.4 to 4 s, 35 to
+# 40% less.  A constant, not an option, like CHUNK_CASES.
+POOL_MIN_CASE_S = 0.1
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A case solved to optimality: its solution, and the proven lower
+    bound on its optimal objective that the search ended with."""
+
+    values: np.ndarray
+    bound: float
 
 
 @dataclass
-class _WarmStart:
-    """What a chunk's consecutive cases share: the problem whose
-    constraints they reuse, one HiGHS model holding those constraints, and
-    the last case's optimum."""
+class _Chunk:
+    """What the cases of one chunk share: the sweep's inputs, the problem
+    whose constraints they reuse, one HiGHS model holding those
+    constraints and the solution the next solve starts from; and, by case
+    index, each case's scenario and problem (priced once), its result,
+    and, if it was solved to optimality, its point."""
 
+    scenario: Scenario
+    target: str
+    opts: SolveOptions
     base: MilpProblem | None = None
     model: HighsLp | None = None
     start: np.ndarray | None = None
+    priced: dict[int, tuple[Scenario, MilpProblem]] = field(
+        default_factory=dict)
+    results: dict[int, SweepCase] = field(default_factory=dict)
+    points: dict[int, _Point] = field(default_factory=dict)
+
+    def price(self, i: int) -> tuple[Scenario, MilpProblem]:
+        """Case ``i``'s scenario and problem: built if the chunk has no
+        base problem yet, else the base's constraints with this case's
+        price table."""
+        if i not in self.priced:
+            case = scale_energy_offers(self.scenario, self.target, i / 10.0)
+            if self.base is None:
+                problem = self.base = build(case)
+            else:
+                report = validate_scenario(case)
+                if not report.ok:
+                    raise ScenarioValidationError(report)
+                energy, capacity, mileage = prices = settlement_prices(
+                    case, self.base.registry)
+                problem = replace(self.base, objective=energy + capacity
+                                  + mileage, prices=prices)
+            self.priced[i] = case, problem
+        return self.priced[i]
 
     def reset(self) -> None:
-        self.base = self.model = self.start = None
+        """Forget the model and the start: the next solve starts cold."""
+        self.model = self.start = None
 
 
 @dataclass(frozen=True)
 class _Snapshot:
     """Where case 1 of a sweep ended, for every chunk to start from: its
-    problem, the state of its HiGHS model and its optimum."""
+    problem, the state of its HiGHS model and its point."""
 
     base: MilpProblem
     state: HighsState
-    start: np.ndarray
+    first: _Point
 
 
-def _case_problem(case: Scenario, base: MilpProblem | None) -> MilpProblem:
-    """Build the case, or, given the base problem of another case of the
-    same sweep, reuse its constraints with this case's prices."""
-    if base is None:
-        return build(case)
-    report = validate_scenario(case)
-    if not report.ok:
-        raise ScenarioValidationError(report)
-    energy, capacity, mileage = prices = settlement_prices(case, base.registry)
-    return replace(base, objective=energy + capacity + mileage, prices=prices)
-
-
-def _solve_case(scenario: Scenario, target: str, i: int, opts: SolveOptions,
-                warm: _WarmStart) -> SweepCase:
+def _solve_case(chunk: _Chunk, i: int, starts=()) -> SweepCase:
+    """Solve case ``i`` on the chunk's model and record its result.  The
+    search starts from the cheapest of ``starts`` at this case's prices,
+    or, without ``starts``, from the chunk's last optimum."""
     multiplier = i / 10.0
-    case = scale_energy_offers(scenario, target, multiplier)
     try:
-        problem = _case_problem(case, warm.base)
-        if warm.model is None:
-            warm.base, warm.model = problem, HighsLp(opts)
+        case, problem = chunk.price(i)
+        if starts:
+            chunk.start = min(starts, key=lambda x: problem.objective @ x)
+        if chunk.model is None:
+            chunk.model = HighsLp(chunk.opts)
         try:
-            solution = solve_milp(problem, opts, model=warm.model,
-                                  start=warm.start)
+            solution = solve_milp(problem, chunk.opts, model=chunk.model,
+                                  start=chunk.start)
         except BadStart:
-            # the last optimum is only a hint; on badly scaled rows it can
-            # miss this case's rows by more than the feasibility tolerance
-            solution = solve_milp(problem, opts, model=warm.model)
-        if solution.status != OPTIMAL:
-            warm.reset()
-            return SweepCase(i, multiplier, solution.status,
-                            solution.objective, None)
-        warm.start = solution.values
-        revenue = settle(case, problem.registry, problem.prices,
-                         solution.values)
-        return SweepCase(i, multiplier, solution.status,
-                        solution.objective, revenue)
+            # the start is only a hint; on badly scaled rows another case's
+            # optimum can miss this case's rows by more than the
+            # feasibility tolerance
+            solution = solve_milp(problem, chunk.opts, model=chunk.model)
+        revenue = None
+        if solution.status == OPTIMAL:
+            objective, x = solution.objective, solution.values
+            chunk.start = x
+            chunk.points[i] = _Point(
+                x, objective - solution.gap * max(1.0, abs(objective)))
+            revenue = settle(case, problem.registry, problem.prices, x)
+        else:
+            chunk.reset()
+        result = SweepCase(i, multiplier, solution.status, solution.objective,
+                           revenue)
     except Exception as exc:   # per-case failures are recorded, not raised
-        warm.reset()           # the next case starts cold
-        return SweepCase(i, multiplier, "Error", float("nan"), None, str(exc))
+        chunk.reset()
+        result = SweepCase(i, multiplier, "Error", float("nan"), None,
+                           str(exc))
+    chunk.results[i] = result
+    return result
+
+
+def _certified(chunk: _Chunk, a: int, b: int) -> dict[int, SweepCase] | None:
+    """Every case strictly between the optimal cases ``a`` and ``b``,
+    settled on the lower of their two solutions' lines at its prices; None
+    unless each of those lines is within ``relative_gap`` of the chord
+    through ``a``'s and ``b``'s proven lower bounds."""
+    ends = chunk.points[a], chunk.points[b]
+    picks = {}
+    for k in range(a + 1, b):
+        try:
+            case, problem = chunk.price(k)
+        except Exception:   # left to a solve, which records the error
+            return None
+        lines = [float(problem.objective @ end.values) for end in ends]
+        lower = int(lines[1] < lines[0])
+        w = (b - k) / (b - a)
+        chord = w * ends[0].bound + (1.0 - w) * ends[1].bound
+        objective = lines[lower]
+        if objective - chord > chunk.opts.relative_gap * max(1.0,
+                                                             abs(objective)):
+            return None
+        picks[k] = case, problem, ends[lower].values, objective
+    return {k: SweepCase(k, k / 10.0, OPTIMAL, objective,
+                         settle(case, problem.registry, problem.prices, x))
+            for k, (case, problem, x, objective) in picks.items()}
+
+
+def _bisect(chunk: _Chunk, a: int, b: int) -> None:
+    """Settle the cases strictly between the solved cases ``a`` and
+    ``b``: all of them from the bracket if it certifies them all, else
+    solve the midpoint from the better of the two ends and settle each
+    half.  Where ``a`` or ``b`` is not optimal, each case between them is
+    solved on its own, in order."""
+    if b - a < 2:
+        return
+    if a not in chunk.points or b not in chunk.points:
+        for i in range(a + 1, b):
+            _solve_case(chunk, i)
+        return
+    certified = _certified(chunk, a, b)
+    if certified is not None:
+        chunk.results.update(certified)
+        return
+    mid = (a + b) // 2
+    _solve_case(chunk, mid, (chunk.points[a].values, chunk.points[b].values))
+    _bisect(chunk, a, mid)
+    _bisect(chunk, mid, b)
 
 
 def _solve_first(scenario: Scenario, target: str,
                  opts: SolveOptions) -> tuple[SweepCase, _Snapshot | None]:
     """Case 1, cold, and the snapshot of where it ended; None for the
     snapshot unless it is optimal."""
-    warm = _WarmStart()
-    case = _solve_case(scenario, target, 1, opts, warm)
-    if warm.model is None:
+    chunk = _Chunk(scenario, target, opts)
+    case = _solve_case(chunk, 1)
+    if 1 not in chunk.points:
         return case, None
-    return case, _Snapshot(warm.base, warm.model.state(), warm.start)
+    return case, _Snapshot(chunk.base, chunk.model.state(), chunk.points[1])
 
 
 def _solve_chunk(args) -> list[SweepCase]:
-    scenario, target, indices, opts, snapshot = args
-    warm = _WarmStart()
+    scenario, target, span, opts, snapshot = args
+    chunk = _Chunk(scenario, target, opts)
+    left, right = span[0], span[-1]
     if snapshot is not None:
-        warm.base, warm.model, warm.start = (snapshot.base, HighsLp(opts),
-                                             snapshot.start)
-        warm.model.restore(snapshot.base, snapshot.state)
-    return [_solve_case(scenario, target, i, opts, warm) for i in indices]
+        chunk.base, chunk.start = snapshot.base, snapshot.first.values
+        chunk.model = HighsLp(opts)
+        chunk.model.restore(snapshot.base, snapshot.state)
+        if left == 2:      # case 1 brackets chunk 1 from the left
+            left = 1
+            chunk.points[1] = snapshot.first
+    for i in sorted({left, right} - chunk.points.keys()):
+        _solve_case(chunk, i)
+    _bisect(chunk, left, right)
+    return [chunk.results[i] for i in span]
 
 
 class BadThreadCount(ValueError):
@@ -279,32 +378,53 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     for i = 1..cases; output is ordered by i.
 
     Only the target's objective coefficients change between cases, so the
-    feasible set is the same in every case.  Case 1 is built and solved
-    cold, once; where it ends (its problem, the HiGHS model's costs,
-    bounds, root cuts and basis, and its optimum) is the snapshot that
-    every other case starts from.  The other cases are solved in chunks
-    of ``CHUNK_CASES`` consecutive indices (the first chunk is cases 2 to
-    ``CHUNK_CASES``).  Each chunk restores the snapshot into a HiGHS model
-    of its own; each of its cases reuses case 1's constraints and cuts
-    with its own price table, re-solves from the basis the last case
-    left, and seeds its incumbent with the last case's optimum, which is
-    feasible by construction.  A case's price table gives both its
-    objective and its revenue (:func:`settle`, as in
-    :func:`compute_revenue`), with no schedule decoded.  A case that fails
-    or ends non-optimal makes the next one start cold, and without a
-    snapshot (case 1 failed) every chunk starts cold.  Case 1 and then
-    the chunks run on ``threads`` worker processes (default
-    ``DSO_THREADS``, else the CPUs this process may use), case 1 as the
-    pool's first job; but the chunk boundaries depend only on ``cases``,
-    so every case starts from the same state and the results do not
-    depend on the worker count.
+    feasible set is the same in every case, and the optimal objective z(m)
+    is concave (and piecewise linear) in the multiplier m: the minimum,
+    over that set, of each solution's line.
+
+    Case 1 is built and solved cold, once, in this process; where it ends
+    (its problem, the HiGHS model's costs, bounds, root cuts and basis,
+    and its optimum) is the snapshot that every other case starts from.
+    The other cases fall in chunks of ``CHUNK_CASES`` consecutive indices
+    (the first chunk is cases 2 to ``CHUNK_CASES``).  Each chunk restores
+    the snapshot into a HiGHS model of its own and solves its two ends,
+    left then right; case 1 is chunk 1's left end.  It then bisects:
+    given two optimal cases a < b, every case k between them is
+    **certified** when the lower of a's and b's solutions' lines at k's
+    own price table lies within ``relative_gap * max(1, |line|)`` (the
+    rule that stops ``solve_milp``) of the chord through a's and b's
+    proven lower bounds (objective - gap * max(1, |objective|)).  By
+    concavity the chord is below z(k), so a certified case is as good as
+    solved: it reports that solution, its objective at k's prices and its
+    settlement.  Unless all of them are certified, the midpoint (a + b) //
+    2 is solved, starting from whichever of a's and b's solutions is
+    cheaper at its prices, and each half is bisected, left first.  Where
+    a or b failed or is not optimal, each case between them is solved on
+    its own, in order, from the chunk's last optimum.
+
+    A solved case reuses case 1's constraints and cuts with its own price
+    table (built once per case, for its objective and its revenue), and
+    re-solves on the chunk's model from the basis the last solve left.
+    Its revenue comes from that table (:func:`settle`, as in
+    :func:`compute_revenue`), with no schedule decoded.  A case that
+    fails or ends non-optimal makes the next solve start cold, and
+    without a snapshot (case 1 failed) every chunk starts cold and solves
+    its own left end.
+
+    The chunks run on ``threads`` worker processes (default
+    ``DSO_THREADS``, else the CPUs this process may use) only if case 1
+    took more than ``POOL_MIN_CASE_S`` CPU seconds; otherwise, and with
+    one worker, they run here in order.  The chunk boundaries depend
+    only on ``cases``, and every chunk starts from the same snapshot, so
+    the results depend neither on the worker count nor on where the
+    chunks run.
 
     Since the feasible set is shared, the target's energy weighted by its
-    base offers (energy revenue / multiplier) is non-increasing in the
-    multiplier, up to the solver's relative gap.  Its revenue is not
-    monotone: entities settle at their own offer prices, so revenue rises
-    with the multiplier wherever the schedule stays put, and capacity and
-    mileage revenue follow the schedule.
+    base offers (energy revenue / multiplier), the slope of z, is
+    non-increasing in the multiplier, up to the solver's relative gap.
+    Its revenue is not monotone: entities settle at their own offer
+    prices, so revenue rises with the multiplier wherever the schedule
+    stays put, and capacity and mileage revenue follow the schedule.
     """
     scenario.find_aggregator(target)   # KeyError early if absent
     opts = opts or SolveOptions()
@@ -312,26 +432,24 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
         threads = _env_threads()
     if cases < 1:
         return SweepResult(target=target, cases=())
+    clock = process_time()
+    first, snapshot = _solve_first(scenario, target, opts)
+    heavy = process_time() - clock > POOL_MIN_CASE_S
     # CHUNK_CASES consecutive indices each, without case 1
     spans = (range(max(k, 2), min(k + CHUNK_CASES, cases + 1))
              for k in range(1, cases + 1, CHUNK_CASES))
-    jobs = [(scenario, target, tuple(span), opts) for span in spans if span]
-    if threads > 1 and len(jobs) > 1:
-        # imported here, as only a parallel sweep starts worker processes:
+    jobs = [(scenario, target, tuple(span), opts, snapshot)
+            for span in spans if span]
+    if threads > 1 and len(jobs) > 1 and heavy:
+        # imported here, as only a heavy sweep starts worker processes:
         # the import costs every other command about 1 MB and 25 modules
         from concurrent.futures import ProcessPoolExecutor
 
-        # case 1 runs in the pool too: solved here, its HiGHS and build
-        # memory would be copied into every worker forked after it
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            first = pool.submit(_solve_first, scenario, target, opts)
-            case, snapshot = first.result()
-            chunks = list(pool.map(_solve_chunk,
-                                   [job + (snapshot,) for job in jobs]))
+            chunks = list(pool.map(_solve_chunk, jobs))
     else:
-        case, snapshot = _solve_first(scenario, target, opts)
-        chunks = [_solve_chunk(job + (snapshot,)) for job in jobs]
-    return SweepResult(target=target, cases=(case,) + tuple(
+        chunks = [_solve_chunk(job) for job in jobs]
+    return SweepResult(target=target, cases=(first,) + tuple(
         c for chunk in chunks for c in chunk))
 
 

@@ -15,7 +15,9 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import analysis, casestudy, formulation, mps, scenario_io, solver
+# the solver's modules (numpy, HiGHS) are imported by the commands that
+# solve, so validate and bundled run without them
+from . import casestudy, scenario_io
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -60,6 +62,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import analysis, formulation, mps, solver
+
     if not 0 < args.gap < math.inf or args.max_nodes <= 0:
         print("error: --gap must be finite and positive, and --max-nodes "
               "positive", file=sys.stderr)
@@ -99,6 +103,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis, solver
+
     scenario = scenario_io.load_scenario(args.scenario)
     try:
         result = analysis.run_sweep(scenario, args.target)
@@ -146,7 +152,11 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.report.violations:
             print(f"{v.code}: {v.message}", file=sys.stderr)
         return EXIT_INVALID
-    except solver.SolverError as exc:
+    except Exception as exc:
+        from .solver import SolverError   # raised by solve and sweep only
+
+        if not isinstance(exc, SolverError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_OPTIMAL
 

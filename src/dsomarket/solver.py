@@ -2,12 +2,11 @@
 
 The LP relaxations are solved by the HiGHS dual simplex bundled with
 scipy, through its private bindings (``scipy.optimize._highspy._core``).
-That extension is loaded straight from its file inside scipy, without
-importing ``scipy.optimize``, whose ``__init__`` would pull in linprog,
-scipy.linalg, scipy.special and more that this package never uses.  When
-the file is not there, or lacks a method the solver calls, importing this
-module raises ImportError naming the scipy version needed.  That extension
-is all this module takes from scipy.
+That extension is loaded straight from its file inside scipy by
+:mod:`dsomarket.highs`, without importing scipy or ``scipy.optimize``;
+importing this module raises ImportError naming the scipy version needed
+when it lacks a method the solver calls.  That extension is all this
+module takes from scipy.
 
 The solver reads a compiled ``MilpProblem`` directly.  HiGHS is handed
 its relaxation's rows (``MilpProblem.relaxation_rows``) as numpy arrays,
@@ -40,15 +39,12 @@ the model start again without cuts.
 from __future__ import annotations
 
 import heapq
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
+
+from .highs import highs_bindings
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -134,58 +130,6 @@ def _columns(problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, lower, upper
 
 
-# Every method of the private ``_Highs`` class that HighsLp calls.  They are
-# checked when this module is imported, so a scipy without them fails there.
-HIGHS_METHODS = ("setOptionValue", "passModel", "changeColsBounds",
-                 "changeColsCost", "run", "getModelStatus",
-                 "modelStatusToString", "getInfo", "getSolution",
-                 "getBasicVariables", "getReducedRow", "getBasisInverseRow",
-                 "addRows", "getBasis", "setBasis")
-HIGHS_MODULE = "scipy.optimize._highspy._core"
-SCIPY_NEEDED = "scipy>=1.17"
-
-
-def highs_bindings():
-    """scipy's private HiGHS bindings, checked to have every method in
-    ``HIGHS_METHODS``; ImportError naming the scipy version needed otherwise.
-
-    A module already in ``sys.modules`` is used as is.  Otherwise the
-    extension is loaded from its file inside scipy, without running
-    ``scipy/optimize/__init__.py`` (linprog, scipy.linalg, scipy.special,
-    ...), and registered under its dotted name, so a later
-    ``import scipy.optimize`` reuses it instead of initialising it again."""
-    if HIGHS_MODULE in sys.modules:
-        core = sys.modules[HIGHS_MODULE]
-        if core is None:
-            raise ImportError(
-                f"dsomarket needs {SCIPY_NEEDED}: cannot import the HiGHS "
-                f"bindings {HIGHS_MODULE} (None in sys.modules)")
-    else:
-        folders = [os.path.join(root, "optimize", "_highspy")
-                   for root in scipy.__path__]
-        files = [os.path.join(folder, "_core" + suffix) for folder in folders
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next(filter(os.path.isfile, files), None)
-        if path is None:
-            raise ImportError(
-                f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings "
-                f"{HIGHS_MODULE} have no _core extension file in "
-                f"{', '.join(folders)}")
-        loader = importlib.machinery.ExtensionFileLoader(HIGHS_MODULE, path)
-        core = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(HIGHS_MODULE, path,
-                                                   loader=loader))
-        loader.exec_module(core)
-        sys.modules[HIGHS_MODULE] = core
-    missing = [name for name in HIGHS_METHODS
-               if not hasattr(getattr(core, "_Highs", None), name)]
-    if missing:
-        raise ImportError(
-            f"dsomarket needs {SCIPY_NEEDED}: the HiGHS bindings "
-            f"{HIGHS_MODULE} lack _Highs.{', _Highs.'.join(missing)}")
-    return core
-
-
 @dataclass(frozen=True)
 class HighsState:
     """What a HighsLp holds beyond its problem's rows, as arrays that
@@ -245,6 +189,11 @@ class HighsLp:
                             ("presolve", "on" if self._presolve else "off"),
                             ("solver", "simplex"),
                             ("simplex_strategy", 1),    # dual simplex
+                            # the dual simplex runs on one thread anyway;
+                            # at 0, HiGHS's task scheduler starts a thread
+                            # per two hardware threads, and a sweep forks
+                            # its workers after case 1 has run here
+                            ("threads", 1),
                             ("primal_feasibility_tolerance", tol),
                             ("dual_feasibility_tolerance", tol)):
             self._check(self._highs.setOptionValue(name, value),

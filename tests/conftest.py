@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from dsomarket.analysis import scale_energy_offers, settle
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.formulation import build, decode
 from dsomarket.model import (
@@ -155,3 +156,18 @@ def edit(doc, path, value):
         del doc[last]
     else:
         doc[last] = value
+
+
+def reported_solution(scenario, target, case, candidates):
+    """The solution among ``candidates`` that a sweep case reports: the
+    one whose settlement at the case's prices is the case's revenue and
+    whose cost there is its objective; None if there is none."""
+    scaled = scale_energy_offers(scenario, target, case.multiplier)
+    problem = build(scaled)
+    for x in candidates:
+        cost = float(problem.objective @ x)
+        if (abs(cost - case.objective) <= 1e-9 * max(1.0, abs(cost))
+                and settle(scaled, problem.registry, problem.prices, x)
+                == case.revenue):
+            return x
+    return None

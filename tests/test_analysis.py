@@ -1,12 +1,18 @@
 """Revenue decomposition, the regrouping identity, and the price sweep."""
 
+import concurrent.futures
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import first_energy_rise, make_scenario, rows_by_name
+from conftest import (
+    first_energy_rise,
+    make_scenario,
+    reported_solution,
+    rows_by_name,
+)
 from dsomarket import analysis, formulation
 from dsomarket.analysis import (
     CHUNK_CASES,
@@ -144,14 +150,45 @@ def test_sweep_cases_ordered_and_optimal():
     assert objectives == sorted(objectives)
 
 
-def test_sweep_parallel_matches_serial():
+def _pooled(monkeypatch) -> list:
+    """Send every sweep with more than one worker to a worker pool,
+    however cheap its case 1; returns the worker counts of the pools
+    started."""
+    pools = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(analysis, "POOL_MIN_CASE_S", 0.0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return pools
+
+
+def test_sweep_parallel_matches_serial(monkeypatch):
+    pools = _pooled(monkeypatch)
     scenario = make_scenario(T=1, kinds=("ddgag",))
-    serial = run_sweep(scenario, "ddgag-x", cases=4, threads=1)
-    parallel = run_sweep(scenario, "ddgag-x", cases=4, threads=2)
+    cases = CHUNK_CASES + 2     # two chunks: a single one runs here
+    serial = run_sweep(scenario, "ddgag-x", cases=cases, threads=1)
+    assert pools == []
+    parallel = run_sweep(scenario, "ddgag-x", cases=cases, threads=2)
+    assert pools == [2]
     for a, b in zip(serial.cases, parallel.cases):
         assert a.index == b.index
         assert a.objective == pytest.approx(b.objective, abs=1e-12)
         assert a.revenue.entities == b.revenue.entities
+
+
+def test_sweep_with_cheap_first_case_starts_no_worker(bundled, monkeypatch):
+    # bundled case 1 takes a few hundredths of a CPU second; the clock is
+    # stopped so that a slow interpreter cannot push it past
+    # POOL_MIN_CASE_S, and the chunks run in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started a worker pool")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(analysis, "process_time", lambda: 0.0)
+    result = run_sweep(bundled, "ddgag-1", threads=2)
+    assert {c.status for c in result.cases} == {OPTIMAL}
 
 
 @pytest.mark.parametrize("multiplier", [0.1, 1.0, 4.0])
@@ -201,11 +238,13 @@ def _assert_within_gap(objective, reference):
     assert abs(objective - reference) <= gap * max(1.0, abs(reference))
 
 
-def test_sweep_chunks_independent_of_threads(bundled):
+def test_sweep_chunks_independent_of_threads(bundled, monkeypatch):
+    pools = _pooled(monkeypatch)
     cases = 2 * CHUNK_CASES + 3     # three chunks, the last one short
     runs = {threads: run_sweep(bundled, "ddgag-1", cases=cases,
                                threads=threads)
             for threads in (1, 2, 3)}
+    assert pools == [2, 3]
     assert runs[2].cases == runs[1].cases
     assert runs[3].cases == runs[1].cases
     serial = runs[1].cases
@@ -255,14 +294,17 @@ def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
     monkeypatch.setattr(analysis, "solve_milp", flaky)
     cases = CHUNK_CASES
     result = run_sweep(bundled, "esag-1", cases=cases, threads=1)
-    failed = result.cases[2]
+    # the solve order is case 1, the chunk's right end (case 10), then the
+    # bracket's midpoint (case 5), the third solve, which fails
+    failed = result.cases[4]
     if failure == "raises":
         assert (failed.status, failed.error) == ("Error", "injected failure")
     else:
         assert failed.status == NODE_LIMIT
     assert failed.revenue is None
-    # case 1 is cold; case 2 starts from case 1's optimum on the chunk's
-    # restored model; the case after the failure starts without the last
+    # case 1 is cold; case 10 starts from case 1's optimum on the chunk's
+    # restored model; with case 5 failed, cases 2-4 and 6-9 are solved on
+    # their own: the one after the failure (case 2) starts without the last
     # optimum and on a fresh model; the one after that is warm again
     assert calls[0][1:] == (False, False)
     assert calls[1][1:] == (True, True)
@@ -271,9 +313,9 @@ def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
     assert calls[3][1:] == (False, False)
     assert calls[3][0] is not calls[1][0]
     assert calls[4] == (calls[3][0], True, True)
-    later = result.cases[3:]
+    later = result.cases[:4] + result.cases[5:]
     assert all(c.status == OPTIMAL for c in later)
-    cold = _cold_objectives(bundled, "esag-1", range(4, cases + 1))
+    cold = _cold_objectives(bundled, "esag-1", [c.index for c in later])
     for case, reference in zip(later, cold):
         _assert_within_gap(case.objective, reference)
 
@@ -281,8 +323,9 @@ def test_sweep_case_failure_restarts_cold(bundled, monkeypatch, failure):
 def test_sweep_without_first_case_starts_every_chunk_cold(bundled,
                                                           monkeypatch):
     # case 1 fails, so there is no snapshot: each chunk builds and solves
-    # its first case cold, and cases 2-40 are solved as in a full sweep
-    calls, builds = [], []
+    # its first case (its left end) cold, and cases 2-40 are solved as in
+    # a full sweep
+    calls, builds, order = [], [], []
 
     def failing_first(problem, opts, **warm):
         calls.append((warm["model"].loaded, warm["start"] is not None))
@@ -293,15 +336,25 @@ def test_sweep_without_first_case_starts_every_chunk_cold(bundled,
     def counted_build(scenario):
         builds.append(scenario)
         return build(scenario)
+
+    def ordered(chunk, i, *starts):
+        order.append(i)
+        return solve_case(chunk, i, *starts)
     full = run_sweep(bundled, "ddgag-1", threads=1)
+    solve_case = analysis._solve_case
     monkeypatch.setattr(analysis, "solve_milp", failing_first)
     monkeypatch.setattr(analysis, "build", counted_build)
+    monkeypatch.setattr(analysis, "_solve_case", ordered)
     result = run_sweep(bundled, "ddgag-1", threads=1)
     assert (result.cases[0].status, result.cases[0].error) == \
         ("Error", "injected failure")
     assert all(c.status == OPTIMAL for c in result.cases[1:])
     assert len(builds) == 5
-    starts = [1, CHUNK_CASES, 2 * CHUNK_CASES, 3 * CHUNK_CASES]
+    # the solve positions of the chunks' left ends, each its chunk's first
+    lefts = [2, CHUNK_CASES + 1, 2 * CHUNK_CASES + 1, 3 * CHUNK_CASES + 1]
+    starts = [order.index(i) for i in lefts]
+    assert starts == [next(k for k, i in enumerate(order) if i >= left)
+                      for left in lefts]
     assert [calls[k] for k in starts] == [(False, False)] * 4
     assert all(warm == (True, True) for k, warm in enumerate(calls)
                if k and k not in starts)
@@ -313,7 +366,8 @@ def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
     calls = []
 
     def spoiled(problem, opts, model, start=None):
-        # case 2's start is made fractional on a binary column
+        # the second solve's start (case 10's, the chunk's right end) is
+        # made fractional on a binary column
         calls.append((model, start is not None))
         if len(calls) == 2:
             start = start.copy()
@@ -323,8 +377,9 @@ def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
     monkeypatch.setattr(analysis, "solve_milp", spoiled)
     result = run_sweep(bundled, "esag-1", cases=CHUNK_CASES, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)
-    # case 2 is solved again on the chunk's restored model without its
-    # start, and case 3 is warm again
+    # case 10 is solved again on the chunk's restored model without its
+    # start, and the next solve (case 5, the bracket's midpoint) is warm
+    # again
     assert [warm for _, warm in calls[:4]] == [False, True, False, True]
     chunk_model = calls[1][0]
     assert calls[0][0] is not chunk_model
@@ -335,14 +390,90 @@ def test_sweep_case_with_bad_start_solves_without_it(bundled, monkeypatch):
 
 
 @pytest.mark.parametrize("target", ["ddgag-1", "esag-1", "drag-1", "evcs-1"])
-def test_sweep_csv_independent_of_threads(bundled, tmp_path, target):
-    # every chunk restores case 1's snapshot, whichever process runs it
+def test_sweep_csv_independent_of_threads(bundled, tmp_path, monkeypatch,
+                                         target):
+    # every chunk restores case 1's snapshot, whichever process runs it:
+    # in this process (one worker) or in a pool of two or three
+    pools = _pooled(monkeypatch)
     texts = []
     for threads in (1, 2, 3):
         path = tmp_path / f"sweep-{threads}.csv"
         export_sweep(run_sweep(bundled, target, threads=threads), str(path))
         texts.append(path.read_bytes())
+    assert pools == [2, 3]
     assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+@pytest.mark.parametrize("target", ["ddgag-1", "esag-1", "drag-1", "evcs-1"])
+def test_sweep_cases_lie_on_the_price_curve(bundled, monkeypatch, target):
+    # every case, solved or certified by its bracket, is as good as its own
+    # cold solve, and a certified case reports one of the solved optima at
+    # its own prices
+    solved, optima = [], []
+    solve_case, solve = analysis._solve_case, analysis.solve_milp
+
+    def recorded_case(chunk, i, *starts):
+        solved.append(i)
+        return solve_case(chunk, i, *starts)
+
+    def recorded_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        optima.append(solution.values)
+        return solution
+    monkeypatch.setattr(analysis, "_solve_case", recorded_case)
+    monkeypatch.setattr(analysis, "solve_milp", recorded_solve)
+    result = run_sweep(bundled, target, threads=1)
+    cold = _cold_objectives(bundled, target, range(1, 41))
+    for case, reference in zip(result.cases, cold):
+        assert case.status == OPTIMAL
+        _assert_within_gap(case.objective, reference)
+    certified = [c for c in result.cases if c.index not in solved]
+    assert len(solved) == len(set(solved)) and certified
+    for case in certified:
+        x = reported_solution(bundled, target, case, optima)
+        assert x is not None, f"case {case.index} reports no solved optimum"
+        problem = build(scale_energy_offers(bundled, target,
+                                            case.multiplier))
+        assert case.objective == float(problem.objective @ x)
+
+
+def test_bracket_certifies_on_the_lower_line_over_the_bounds_chord(
+        bundled, monkeypatch):
+    # esag-1 cases 1 and 3 have different optima, whose lines at case 2's
+    # prices lie far more than the tolerance apart
+    opts, gap = SolveOptions(), 1e-3
+
+    def loose(*args, **kwargs):    # a search that stops with a gap left
+        return replace(solve_milp(*args, **kwargs), gap=gap)
+    monkeypatch.setattr(analysis, "solve_milp", loose)
+    chunk = analysis._Chunk(bundled, "esag-1", opts)
+    for i in (1, 3):
+        case = analysis._solve_case(chunk, i)
+        # the proven lower bound, not the incumbent
+        assert chunk.points[i].bound == case.objective - gap * max(
+            1.0, abs(case.objective))
+    case, problem = chunk.price(2)
+    lines = [float(problem.objective @ chunk.points[i].values)
+             for i in (1, 3)]
+    low = min(lines)
+    tol = opts.relative_gap * max(1.0, abs(low))
+    assert max(lines) - low > tol
+    assert analysis._certified(chunk, 1, 3) is None
+    # a chord of lower bounds that meets the lower line at case 2
+    # certifies it there, on that line's solution
+    points = dict(chunk.points)
+    for i in (1, 3):
+        chunk.points[i] = replace(points[i], bound=low)
+    certified = analysis._certified(chunk, 1, 3)
+    x = points[(1, 3)[lines.index(low)]].values
+    assert list(certified) == [2]
+    assert (certified[2].status, certified[2].objective) == (OPTIMAL, low)
+    assert certified[2].revenue == settle(case, problem.registry,
+                                          problem.prices, x)
+    # one more than the tolerance below it does not
+    for i in (1, 3):
+        chunk.points[i] = replace(points[i], bound=low - 2 * tol)
+    assert analysis._certified(chunk, 1, 3) is None
 
 
 def test_export_sweep_layout(tmp_path):
