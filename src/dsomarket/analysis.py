@@ -114,16 +114,6 @@ def settle(scenario: Scenario, registry: VariableRegistry,
         dso_position={t: 0.0 - sum(h) for t, h in zip(steps, hours)})
 
 
-def regrouping_residual(report: RevenueReport, objective: float) -> float:
-    """|sum of entity totals - DSO position - objective|.
-
-    The objective pays entities and collects wholesale income, so entity
-    totals minus the DSO position must reproduce it exactly.
-    """
-    total = sum(e.total for e in report.entities.values())
-    return abs(total - report.dso_total - objective)
-
-
 @dataclass(frozen=True)
 class SweepCase:
     index: int

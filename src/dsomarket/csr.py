@@ -6,8 +6,9 @@
 entries in column order.  ``A @ x`` sums each row's products in entry
 order, starting from 0.0, as scipy's CSR product does, so it gives the
 same bits; :meth:`Csr.csc` gives the arrays of scipy's ``tocsc()``, which
-HiGHS and the MPS writer read.  The package does not import scipy's
-sparse module for them: that import alone loads numpy.testing,
+HiGHS and the MPS writer read.  Every reader takes the rows in build
+order: there is no second row layout.  The package does not import
+scipy's sparse module for them: that import alone loads numpy.testing,
 numpy.f2py, numpy.ma and more, about half of every module that
 ``import dsomarket`` would load.
 """
@@ -52,18 +53,6 @@ class Csr:
         return cls(_offsets(np.bincount(row, minlength=m)),
                    np.asarray(col)[order].astype(np.int32),
                    np.asarray(value, dtype=np.float64)[order], (m, n))
-
-    def rows(self, order, negate) -> Csr:
-        """The rows ``order`` lists, in that order, each negated where
-        ``negate`` is True."""
-        counts = np.diff(self.indptr)[order]
-        indptr = _offsets(counts)
-        entries = np.repeat(self.indptr[order] - indptr[:-1], counts)
-        entries += np.arange(indptr[-1], dtype=np.int32)
-        data = self.data[entries]
-        np.negative(data, out=data, where=np.repeat(negate[order], counts))
-        return Csr(indptr, self.indices[entries], data,
-                   (len(order), self.shape[1]))
 
     @cached_property
     def _by_position(self) -> tuple:

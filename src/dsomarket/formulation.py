@@ -12,13 +12,14 @@ entity and hour at once as (row, column, coefficient) arrays, and the
 price table is filled by fancy indexing over the same column arrays.  The
 compiled :class:`MilpProblem` holds the constraints as one sparse matrix
 ``A`` (:class:`~dsomarket.csr.Csr`: numpy CSR arrays, rows in build
-order) with a ``sense``, ``rhs`` and name per row; the LP relaxation, the
-residual checks and the MPS export all read that matrix.  The
-relaxation's row layout is defined once, in
-:meth:`MilpProblem.relaxation_rows`, which the solver loads into HiGHS.
-``relaxation_arrays`` is the benchmark's view of those rows, and the only
-code that builds scipy's sparse matrices.  Also decodes raw solver vectors
-back into a :class:`Schedule`.
+order) with a ``sense``, ``rhs`` and name per row.  That is the one row
+layout: HiGHS, the residual checks and the MPS export all read the rows
+in build order, so row i is ``row_names[i]`` everywhere.
+:meth:`MilpProblem.row_bounds` is the one place that turns a sense into
+row bounds.  ``relaxation_arrays`` is the benchmark's view of the rows
+(<= and negated >= rows, then == rows), and the only code that builds
+scipy's sparse matrices.  Also decodes raw solver vectors back into a
+:class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -134,9 +135,6 @@ class VariableRegistry:
     def keys(self) -> tuple[VarKey, ...]:
         return tuple(self._keys)
 
-    def key_of(self, idx: int) -> VarKey:
-        return self._keys[idx]
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-column lower and upper bounds and the integrality mask, as
         views of the registry's storage: no column can be declared while
@@ -227,10 +225,10 @@ class MilpProblem:
     def num_cols(self) -> int:
         return len(self.objective)
 
-    def relaxation_rows(self) -> tuple[Csr, np.ndarray, np.ndarray]:
-        """The rows of the LP relaxation as ``(A, lower, upper)`` for
-        ``lower <= A @ x <= upper``: the <= rows and the negated >= rows
-        (lower bound -inf), then the == rows, each block in build order.
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``(lower, upper)`` for ``lower <= A @ x <= upper``, in
+        build order: -inf below a <= row, +inf above a >= row and ``rhs`` on
+        both sides of an == row.
 
         ValueError unless ``A`` is m x ``num_cols``, ``sense``, ``rhs`` and
         ``row_names`` are m long, ``A`` and ``rhs`` are finite and every
@@ -247,11 +245,8 @@ class MilpProblem:
         if not np.isfinite(self.rhs).all() or not np.isfinite(
                 self.A.data).all():
             raise ValueError("A and rhs must not contain inf or nan")
-        ge, eq = self.sense == GE, self.sense == EQ
-        rhs = np.where(ge, -self.rhs, self.rhs)
-        order = np.argsort(eq, kind="stable")    # the <= rows first
-        return (self.A.rows(order, ge), np.where(eq, rhs, -np.inf)[order],
-                rhs[order])
+        return (np.where(self.sense == LE, -np.inf, self.rhs),
+                np.where(self.sense == GE, np.inf, self.rhs))
 
     def check_senses(self) -> None:
         """ValueError naming the first row whose sense is not LE, GE or
@@ -265,38 +260,42 @@ class MilpProblem:
 
     @cached_property
     def relaxation_arrays(self):
-        """The rows of :meth:`relaxation_rows` as ``(A_ub, b_ub, A_eq,
-        b_eq)`` for ``A_ub @ x <= b_ub`` and ``A_eq @ x == b_eq``, with scipy
-        CSR matrices for blocks (None for a block with no rows).  The
-        package does not read it; it is the benchmark's view of the rows,
-        and the package's only import of scipy's sparse module."""
+        """The rows as ``(A_ub, b_ub, A_eq, b_eq)`` for ``A_ub @ x <= b_ub``
+        and ``A_eq @ x == b_eq``: the <= rows and the negated >= rows, then
+        the == rows, each block in build order, as scipy CSR matrices (None
+        for a block with no rows); ValueError as for :meth:`row_bounds`.
+        The package does not read it; it is the benchmark's view of the
+        rows, and the package's only import of scipy's sparse module."""
         from scipy import sparse
 
-        A, _, b = self.relaxation_rows()
-        k = int(np.count_nonzero(self.sense != EQ))
+        lower, upper = self.row_bounds()
+        ge, eq = self.sense == GE, self.sense == EQ
+        b = np.where(ge, -lower, upper)
+        A = sparse.csr_matrix((self.A.data, self.A.indices, self.A.indptr),
+                              shape=self.A.shape)
 
-        def block(first, stop):
-            # copies, so that no block keeps the other's entries alive
-            at = slice(A.indptr[first], A.indptr[stop])
-            return None if first == stop else sparse.csr_matrix(
-                (A.data[at].copy(), A.indices[at].copy(),
-                 A.indptr[first:stop + 1] - A.indptr[first]),
-                shape=(stop - first, self.num_cols))
+        def block(keep):
+            # boolean row indexing copies the rows, so the sign flip leaves
+            # A alone
+            if not keep.any():
+                return None
+            rows = A[keep]
+            np.negative(rows.data, out=rows.data,
+                        where=np.repeat(ge[keep], np.diff(rows.indptr)))
+            return rows
 
-        return block(0, k), b[:k], block(k, len(b)), b[k:]
+        return block(~eq), b[~eq], block(eq), b[eq]
 
     def row_residuals(self, x: np.ndarray) -> np.ndarray:
         """Violation of each row by x (zero where it holds), aligned with
-        ``row_names``; ValueError for an unknown sense
-        (:meth:`check_senses`)."""
+        ``row_names``: ``max(lower - A @ x, A @ x - upper, 0)`` over the
+        :meth:`row_bounds`, which raise ValueError for malformed rows."""
         if len(x) != self.num_cols:
             raise DimensionMismatch(
                 f"solution has {len(x)} entries, problem has {self.num_cols}")
-        self.check_senses()
-        excess = self.A @ x - self.rhs
-        excess = np.where(self.sense == GE, -excess, excess)
-        return np.where(self.sense == EQ, np.abs(excess),
-                        np.maximum(excess, 0.0))
+        lower, upper = self.row_bounds()
+        Ax = self.A @ x
+        return np.maximum(np.maximum(lower - Ax, Ax - upper), 0.0)
 
     def max_residual(self, x: np.ndarray) -> float:
         """Largest constraint violation of x over every row and bound."""
@@ -624,15 +623,6 @@ def add_aggregation_constraints(s: Scenario, reg: VariableRegistry,
                             + [(load_fam, name) for name in load])
         rows.add(at + j, EQ, 0.0, (reg.hourly([(sub,)]), 1.0),
                  (offers.reshape(-1, len(steps)), -1.0))
-
-
-def expected_row_count(s: Scenario) -> int:
-    """Closed-form constraint count for a valid scenario."""
-    T = len(s.horizon)
-    n_avail = sum(len(cfg.availability) for cfg in s.evcss)
-    return (T * (2 * len(s.drags) + 16 * len(s.esags) + 2 * len(s.ddgags)
-                 + 2 * len(s.network.buses) + len(s.network.branches) + 1 + 2)
-            + 5 * n_avail + 2 * len(s.evcss))
 
 
 def build(s: Scenario) -> MilpProblem:

@@ -9,20 +9,21 @@ when it lacks a method the solver calls.  That extension is all this
 module takes from scipy.
 
 The solver reads a compiled ``MilpProblem`` directly.  HiGHS is handed
-its relaxation's rows (``MilpProblem.relaxation_rows``) as numpy arrays,
-by columns.  Each ``solve_milp`` call loads them once into one persistent
-HiGHS model with presolve off; every node is the problem with its fixed
-binaries' bounds changed, only those bounds are sent, and the dual
-simplex restarts from the basis the previous node left, so a node costs a
-few pivots instead of a full solve.  ``solve_lp`` solves one problem's
-relaxation on a fresh model, or on a held one.  Problems that share one
-constraint system and differ in their objective, such as the cases of a
-price sweep, can share one model (only the changed costs are sent) and
-seed each search with the previous optimum.  ``HighsLp.state`` takes what
-a model holds beyond its problem's rows (costs, column bounds, cut rows
-and basis) as arrays that pickle, and ``HighsLp.restore`` loads it into a
-fresh instance, in this process or another, which then re-solves the
-held LP without a simplex iteration.
+its matrix ``A`` by columns, in build order, with the two-sided row
+bounds of ``MilpProblem.row_bounds``, so HiGHS row i is
+``row_names[i]``.  Each ``solve_milp`` call loads them once into one
+persistent HiGHS model with presolve off; every node is the problem with
+its fixed binaries' bounds changed, only those bounds are sent, and the
+dual simplex restarts from the basis the previous node left, so a node
+costs a few pivots instead of a full solve.  ``solve_lp`` solves one
+problem's relaxation on a fresh model, or on a held one.  Problems that
+share one constraint system and differ in their objective, such as the
+cases of a price sweep, can share one model (only the changed costs are
+sent) and seed each search with the previous optimum.  ``HighsLp.state``
+takes what a model holds beyond its problem's rows (costs, column
+bounds, cut rows and basis) as arrays that pickle, and
+``HighsLp.restore`` loads it into a fresh instance, in this process or
+another, which then re-solves the held LP without a simplex iteration.
 
 The branch-and-bound search on top is our own and has one form,
 ``SEARCH``: best-first node order with insertion-order tie-breaking,
@@ -149,8 +150,8 @@ class HighsLp:
     """The LP relaxation of one constraint system, held by a HiGHS
     instance and re-solved under other costs and column bounds.
 
-    The first ``solve`` loads its problem's rows
-    (:meth:`~dsomarket.formulation.MilpProblem.relaxation_rows`).  Later
+    The first ``solve`` loads its problem's rows in build order, bounded
+    by :meth:`~dsomarket.formulation.MilpProblem.row_bounds`.  Later
     calls must pass problems that share that problem's ``A``, ``sense``
     and ``rhs`` objects, as the nodes of a search and the cases of a sweep
     do; only the costs and column bounds that differ from the held ones are
@@ -205,8 +206,8 @@ class HighsLp:
             raise SolverError(f"HiGHS failed {what}")
 
     def _load(self, problem, c, lower, upper) -> None:
-        A, row_lower, row_upper = problem.relaxation_rows()
-        start, index, value = A.csc()
+        row_lower, row_upper = problem.row_bounds()
+        start, index, value = problem.A.csc()
         n = len(c)
         self._check(self._highs.passModel(
             n, len(row_lower), len(value),

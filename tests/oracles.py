@@ -1,14 +1,16 @@
 """Independent oracles and random instance generators for solver tests.
 
 The LP oracle enumerates basic feasible solutions directly; one MILP
-oracle enumerates every binary assignment and solves the residual LPs
-with scipy, the other hands a whole problem to ``scipy.optimize.milp``.
-None shares any search logic with the package's branch-and-bound.  The
-MPS oracle formats the file one column and one number at a time in plain
-Python, and the build oracle compiles a scenario one column and one
-constraint row at a time.  The validation and
-per-unit oracles spell out every series check and every rescaled field by
-hand, class by class.
+oracle enumerates every binary assignment and solves the residual LPs on
+one instance of scipy's HiGHS bindings, the other hands a whole problem
+to ``scipy.optimize.milp``.  None shares any search logic with the
+package's branch-and-bound.  The MPS oracle formats the file one column
+and one number at a time in plain Python, and the build oracle compiles
+a scenario one column and one constraint row at a time.  The validation
+and per-unit oracles spell out every series check and every rescaled
+field by hand, class by class.  The closed-form row count, the revenue
+regrouping residual and the column-key lookup are helpers only tests
+use.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core
 
 from dsomarket.csr import Csr
 from dsomarket.formulation import EQ, GE, LE, MilpProblem, VariableRegistry
@@ -81,6 +84,31 @@ def make_lp(c, A, b, lower, upper) -> MilpProblem:
                         [False] * len(c))
 
 
+def key_of(reg: VariableRegistry, idx: int) -> tuple:
+    """The key of column ``idx`` of ``reg``."""
+    return reg.keys()[idx]
+
+
+def expected_row_count(s: Scenario) -> int:
+    """Closed-form constraint count for a valid scenario."""
+    T = len(s.horizon)
+    n_avail = sum(len(cfg.availability) for cfg in s.evcss)
+    return (T * (2 * len(s.drags) + 16 * len(s.esags) + 2 * len(s.ddgags)
+                 + 2 * len(s.network.buses) + len(s.network.branches) + 1 + 2)
+            + 5 * n_avail + 2 * len(s.evcss))
+
+
+def regrouping_residual(report, objective: float) -> float:
+    """|sum of entity totals - DSO position - objective| of a
+    ``RevenueReport``.
+
+    The objective pays entities and collects wholesale income, so entity
+    totals minus the DSO position must reproduce it exactly.
+    """
+    total = sum(e.total for e in report.entities.values())
+    return abs(total - report.dso_total - objective)
+
+
 def vertex_enumeration_lp(c, A, b, lower, upper, tol=1e-9):
     """Optimal objective of min c@x, A x <= b, lower <= x <= upper,
     by enumerating all vertices (finite box keeps the problem bounded).
@@ -109,22 +137,47 @@ def vertex_enumeration_lp(c, A, b, lower, upper, tol=1e-9):
 
 def enumerate_binaries_milp(c, A_ub, b_ub, lower, upper, int_cols, tol=1e-9):
     """Optimal MILP objective by trying every 0/1 assignment and solving
-    the continuous remainder with scipy's HiGHS.  Returns None when every
+    the continuous remainder with HiGHS.  Returns None when every
     assignment is infeasible.
+
+    The LP is loaded once into one instance of scipy's HiGHS bindings,
+    used directly and not through the package's ``HighsLp``; between
+    assignments only the fixed binaries' bounds change.  An assignment
+    whose solve ends other than optimal or infeasible is solved again,
+    cold, by ``linprog``.
     """
     c = np.asarray(c, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    A = sparse.csc_matrix(np.asarray(A_ub, dtype=float).reshape(-1, len(c)))
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(len(c), A.shape[0], A.nnz, 1, 1, 0.0, c, lower, upper,
+                    np.full(A.shape[0], -np.inf), b_ub,
+                    A.indptr.astype(np.int32), A.indices.astype(np.int32),
+                    A.data, np.zeros(len(c), dtype=np.int32))
+    cols = np.asarray(int_cols, dtype=np.int32)
     best = None
-    for assignment in product((0.0, 1.0), repeat=len(int_cols)):
-        lo = np.asarray(lower, dtype=float).copy()
-        hi = np.asarray(upper, dtype=float).copy()
-        for j, v in zip(int_cols, assignment):
-            lo[j] = hi[j] = v
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                      bounds=np.column_stack([lo, hi]), method="highs")
-        if res.status == 0:
-            val = float(res.fun)
-            if best is None or val < best:
-                best = val
+    for assignment in product((0.0, 1.0), repeat=len(cols)):
+        fixed = np.array(assignment)
+        highs.changeColsBounds(len(cols), cols, fixed, fixed)
+        highs.run()
+        status = highs.getModelStatus().name
+        if status == "kOptimal":
+            val = highs.getInfo().objective_function_value
+        elif status == "kInfeasible":
+            continue
+        else:
+            lo, hi = lower.copy(), upper.copy()
+            lo[cols] = hi[cols] = fixed
+            res = linprog(c, A_ub=A_ub, b_ub=b_ub,
+                          bounds=np.column_stack([lo, hi]), method="highs")
+            if res.status != 0:
+                continue
+            val = res.fun
+        if best is None or val < best:
+            best = float(val)
     return best
 
 

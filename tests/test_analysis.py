@@ -13,13 +13,13 @@ from conftest import (
     reported_solution,
     rows_by_name,
 )
+from oracles import regrouping_residual
 from dsomarket import analysis, formulation
 from dsomarket.analysis import (
     CHUNK_CASES,
     StaleSchedule,
     compute_revenue,
     export_sweep,
-    regrouping_residual,
     run_sweep,
     scale_energy_offers,
     settle,

@@ -1,7 +1,9 @@
-"""The numpy CSR matrix against scipy.sparse: the rows HiGHS is loaded
-with, the CSC arrays the MPS writer reads and ``A @ x``, bit for bit, on
-the bundled case, ladder rungs 2, 4 and 8 and small random problems with
-explicit zeros, -0.0, empty rows and columns and empty row blocks."""
+"""The numpy CSR matrix against scipy.sparse: the matrix and row bounds
+HiGHS is loaded with (``A`` by columns, rows in build order), the same
+CSC arrays the MPS writer reads, the benchmark's ``relaxation_arrays``
+view and ``A @ x``, bit for bit, on the bundled case, ladder rungs 2, 4
+and 8 and small random problems with explicit zeros, -0.0, empty rows
+and columns and empty row blocks."""
 
 import importlib.util
 import types
@@ -39,9 +41,10 @@ CASES = ["bundled", "rung 2", "rung 4", "rung 8"]
 
 
 def _scipy_model_rows(problem):
-    """The rows HiGHS is to be loaded with, by scipy: the <= rows and the
-    negated >= rows over the == rows, stacked by ``sparse.vstack`` into
-    CSC, as passModel takes them."""
+    """The rows HiGHS is to be loaded with, by scipy: ``A`` in build order
+    by ``tocsc()``, as passModel takes it, between bounds read off each
+    row's sense.  Checks on the way that ``relaxation_arrays`` holds the
+    <= rows and the negated >= rows over the == rows."""
     A = scipy_csr(problem.A)
     sign = np.where(problem.sense == GE, -1.0, 1.0)
     eq = problem.sense == EQ
@@ -54,13 +57,14 @@ def _scipy_model_rows(problem):
     for mine, theirs in zip(problem.relaxation_arrays, (blocks[0], b_ub,
                                                         blocks[1], b_eq)):
         _assert_same(mine, theirs)
-    stacked = sparse.vstack(
-        [sparse.csr_array((0, problem.num_cols)) if rows is None
-         else sparse.csr_array(rows) for rows in blocks], format="csc")
-    return (problem.num_cols, stacked.shape[0], stacked.nnz,
-            np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-            np.concatenate([b_ub, b_eq]), stacked.indptr.astype(np.int32),
-            stacked.indices.astype(np.int32), stacked.data.astype(float))
+    by_columns = A.tocsc()
+    lower, upper = problem.rhs.copy(), problem.rhs.copy()
+    lower[problem.sense == LE] = -np.inf
+    upper[problem.sense == GE] = np.inf
+    return (problem.num_cols, by_columns.shape[0], by_columns.nnz,
+            lower, upper, by_columns.indptr.astype(np.int32),
+            by_columns.indices.astype(np.int32),
+            by_columns.data.astype(float))
 
 
 def _assert_same(mine, theirs):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, rows_by_name
-from oracles import make_problem, reference_build
+from oracles import expected_row_count, key_of, make_problem, reference_build
 from dsomarket.formulation import (
     EQ,
     GE,
@@ -23,7 +23,6 @@ from dsomarket.formulation import (
     build_objective,
     build_registry,
     decode,
-    expected_row_count,
     settlement_prices,
 )
 from dsomarket.model import (
@@ -50,7 +49,7 @@ def test_registry_is_bijective_and_ordered():
     b = reg.add("P", 2)
     assert (a, b) == (0, 1)
     assert reg[("P", 2)] == 1
-    assert reg.key_of(0) == ("P", 1)
+    assert key_of(reg, 0) == ("P", 1)
     assert ("P", 1) in reg and ("Q", 1) not in reg
     assert len(reg) == 2
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import reported_solution
 from oracles import (
     enumerate_binaries_milp,
+    key_of,
     make_lp,
     make_problem,
     package_csr,
@@ -350,7 +351,7 @@ def test_unknown_sense_is_refused(sense, tmp_path):
     path = tmp_path / "problem.mps"
     x = np.zeros(1)
     for use, args in ((solve_lp, [problem]), (solve_milp, [problem]),
-                      (problem.relaxation_rows, []),
+                      (problem.row_bounds, []),
                       (problem.row_residuals, [x]),
                       (problem.max_residual, [x]),
                       (format_mps, [problem]),
@@ -398,7 +399,7 @@ def _node_fix_sets(problem, rng):
     base = random_fixes()
     free = int(next(j for j in int_cols if j not in base))
     # a discharging storage that must charge at full rate: no LP point
-    _, t, esag = reg.key_of(int(int_cols[0]))     # ("b_es", t, name)
+    _, t, esag = key_of(reg, int(int_cols[0]))     # ("b_es", t, name)
     mode, charge = reg[("b_es", t, esag)], reg[("P_ch", t, esag)]
     conflict = {mode: 1.0, charge: float(problem.upper[charge])}
     root = solve_lp(_node(problem, {}))
@@ -532,6 +533,17 @@ def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
         solve_milp(problem, start=best.values[:-1])
 
 
+def test_highs_row_i_is_build_row_i(bundled_problem):
+    # HiGHS holds the rows in build order, so its row activities, and any
+    # duals or row indices read off the model, are indexed by row_names
+    model = HighsLp(SolveOptions())
+    lp = solve_lp(bundled_problem, model=model)
+    assert lp.status == OPTIMAL
+    activity = np.asarray(model._highs.getSolution().row_value)
+    assert activity.shape == (len(bundled_problem.row_names),)
+    assert np.max(np.abs(activity - bundled_problem.A @ lp.values)) <= 1e-9
+
+
 def test_restored_model_resolves_without_iterations(bundled_problem):
     # a state carries the held costs, bounds, root cuts and basis over to a
     # fresh instance, through pickle as a sweep's worker processes get it
@@ -547,7 +559,16 @@ def test_restored_model_resolves_without_iterations(bundled_problem):
                for a, b in zip(*cuts))
     again = solve_lp(bundled_problem, model=restored)
     assert again.status == OPTIMAL and again.iterations == 0
-    assert again.objective == held.objective
+    # the restored model holds the pickled state exactly; its solution is
+    # the held vertex, up to the rounding of a refactorised basis
+    after = restored.state()
+    for name in ("c", "lower", "upper", "col_status", "row_status"):
+        mine, theirs = getattr(after, name), getattr(state, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert len(after.cuts) == len(state.cuts)
+    assert all(np.array_equal(a, b) for cuts in zip(after.cuts, state.cuts)
+               for a, b in zip(*cuts))
+    assert again.objective == pytest.approx(held.objective, rel=1e-12)
     # a state fits only a problem of its own size, and needs a held LP
     with pytest.raises(ValueError, match="does not fit"):
         HighsLp(SolveOptions()).restore(DEGENERATE_LP, state)
