@@ -26,7 +26,7 @@ from .formulation import (
     VariableRegistry,
     build,
     decode,
-    settlement_prices,
+    price_objective,
 )
 from .model import (
     KIND_DRAG,
@@ -203,10 +203,9 @@ class _Chunk:
                 report = validate_scenario(case)
                 if not report.ok:
                     raise ScenarioValidationError(report)
-                energy, capacity, mileage = prices = settlement_prices(
-                    case, self.base.registry)
-                problem = replace(self.base, objective=energy + capacity
-                                  + mileage, prices=prices)
+                objective, prices = price_objective(case, self.base.registry)
+                problem = replace(self.base, objective=objective,
+                                  prices=prices)
             self.priced[i] = case, problem
         return self.priced[i]
 

@@ -1,13 +1,15 @@
 """Compile a Scenario into a sparse mixed-integer linear program.
 
-Variable registry (each column declared once, with its bounds and
-integrality), the settlement price table whose sum is the objective, and
-all constraint families for the DSO coordination problem: demand response
-blocks, storage charge dynamics with mode binaries, EV charging windows
-with an enable binary, dispatchable generation limits, linearized radial
-power flow, and the substation-level aggregation identities.  The build
-works in blocks: each entity declares its columns as one (hours x
-families) block, each constraint family emits one kind of row for every
+Variable registry (each column declared once, with its bounds,
+integrality and owner), the settlement price table whose sum is the
+objective, and all constraint families for the DSO coordination problem:
+demand response blocks, storage charge dynamics with mode binaries, EV
+charging windows with an enable binary, dispatchable generation limits,
+linearized radial power flow, and the substation-level aggregation
+identities.  The build works in blocks: each entity declares its columns
+as one (hours x families) block, and the registry's one column map is
+each family's columns by hour (:meth:`VariableRegistry.hourly`); it keeps
+no key per column.  Each constraint family emits one kind of row for every
 entity and hour at once as (row, column, coefficient) arrays, and the
 price table is filled by fancy indexing over the same column arrays.  The
 compiled :class:`MilpProblem` holds the constraints as one sparse matrix
@@ -65,23 +67,25 @@ class NonOptimalStatus(RuntimeError):
 
 
 class VariableRegistry:
-    """Bijective map from (family, *subscripts) keys to column indices,
-    with each column's bounds and integrality.
+    """The problem's columns, with each column's bounds, integrality and
+    owner: an aggregator's name, or the hour of a DSO (substation or
+    network) column.
 
-    A key's last part names the column's owner: an aggregator's name, or
-    the hour of a DSO (substation or network) column.  A block declared by
-    :meth:`declare` also keeps each family's column per hour, under the
-    family's key without the hour (:meth:`hourly`).
+    The one column map is each family's columns by hour, filed under the
+    family's key: ``head + owner`` for a block declared by :meth:`declare`,
+    the whole key for a single column declared by :meth:`add`
+    (:meth:`hourly`).  Owners are numbered in first-seen order, and each
+    column keeps its owner's number.
     """
 
     def __init__(self) -> None:
-        self._index: dict[VarKey, int] = {}
-        self._keys: list[VarKey] = []
         self._series: dict[VarKey, np.ndarray] = {}
+        self._owners: dict[object, int] = {}
         # packed, so that the problem's bound arrays can be views of them
         self._lower = array("d")
         self._upper = array("d")
         self._binary = array("b")
+        self._owner_of = array("q")
 
     def declare(self, steps, heads, owner: tuple = (), lower=-np.inf,
                 upper=np.inf, binary=False) -> np.ndarray:
@@ -90,50 +94,48 @@ class VariableRegistry:
         (give an integral column the bounds 0 and 1) broadcast to (hours,
         heads); returns the block's column indices in that shape."""
         shape = (len(steps), len(heads))
-        if len(set(steps)) < shape[0] or len(set(heads)) < shape[1]:
+        families = [head + owner for head in heads]
+        if len(set(steps)) < shape[0] or len(set(families)) < shape[1]:
             raise ValueError(f"duplicate hours or families in {heads}")
         bounds = np.empty((3,) + shape)
         bounds[0], bounds[1], bounds[2] = lower, upper, binary
-        block = self._append([(*head, t, *owner) for t in steps
-                              for head in heads], *bounds).reshape(shape)
-        for head, cols in zip(heads, block.T):
-            self._series[head + owner] = cols
-        return block
+        # a DSO column's owner is its hour
+        owners = [owner[-1]] * shape[0] if owner else steps
+        return self._append(families, owners, *bounds)
 
     def add(self, *key, lower: float = -np.inf, upper: float = np.inf,
             binary: bool = False) -> int:
-        """Declare the next column; a binary one is integral on [0, 1]."""
+        """Declare the next column, owned by the key's last part; a binary
+        one is integral on [0, 1]."""
         bounds = [[0.0], [1.0], [1]] if binary else [[lower], [upper], [0]]
-        return int(self._append([key], *np.array(bounds, dtype=float))[0])
+        return int(self._append([key], [key[-1]], *np.array(
+            bounds, dtype=float)[:, None])[0, 0])
 
-    def _append(self, keys, lower, upper, binary) -> np.ndarray:
-        start = len(self._keys)
-        if not self._index.keys().isdisjoint(keys):
-            raise ValueError(f"duplicate variable among {keys}")
+    def _append(self, families, owners, lower, upper, binary) -> np.ndarray:
+        # one row of columns, one per family, for each of ``owners``
+        if not self._series.keys().isdisjoint(families):
+            raise ValueError(f"duplicate variable among {families}")
+        start = len(self)
         # the bounds first: they cannot grow while views of them are alive
         self._lower.frombytes(lower.tobytes())
         self._upper.frombytes(upper.tobytes())
         self._binary.frombytes(binary.astype(bool).tobytes())
-        self._index.update(zip(keys, range(start, start + len(keys))))
-        self._keys += keys
-        return np.arange(start, len(self._keys))
-
-    def __getitem__(self, key: VarKey) -> int:
-        return self._index[key]
+        # an owner is numbered when its first column is declared
+        number = [self._owners.setdefault(o, len(self._owners))
+                  for o in owners] if families else []
+        self._owner_of.frombytes(np.repeat(np.array(number, dtype=np.int64),
+                                           len(families)).tobytes())
+        block = np.arange(start, len(self)).reshape(lower.shape)
+        self._series.update(zip(families, block.T))
+        return block
 
     def hourly(self, keys) -> np.ndarray:
         """Columns of the families ``keys`` (keys less the hour), by hour."""
         return np.array([self._series[key] for key in keys],
                         dtype=np.intp).ravel()
 
-    def __contains__(self, key: VarKey) -> bool:
-        return key in self._index
-
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def keys(self) -> tuple[VarKey, ...]:
-        return tuple(self._keys)
+        return len(self._lower)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-column lower and upper bounds and the integrality mask, as
@@ -144,20 +146,20 @@ class VariableRegistry:
 
     @cached_property
     def _owner_groups(self) -> tuple[list, np.ndarray, np.ndarray]:
-        # owners in first-seen order, the column indices grouped by owner,
-        # and where each group starts
-        groups: dict[object, list[int]] = {}
-        for j, key in enumerate(self._keys):
-            groups.setdefault(key[-1], []).append(j)
-        sizes = [len(cols) for cols in groups.values()]
-        return (list(groups), np.concatenate(list(groups.values())),
-                np.cumsum([0] + sizes[:-1]))
+        # owners in first-seen order, the column indices grouped by owner
+        # (each group in column order), and where each group starts
+        owner = np.frombuffer(self._owner_of, dtype=np.int64)
+        sizes = np.bincount(owner, minlength=len(self._owners))
+        return (list(self._owners), np.argsort(owner, kind="stable"),
+                np.cumsum(sizes) - sizes)
 
     def sum_by_owner(self, table: np.ndarray) -> dict[object, list[float]]:
-        """Sum a (k, n) table's columns per owner, each owner's columns in
-        column order and from 0.0, as Python's ``sum`` does (so an all-zero
-        sum is 0.0, not -0.0).  The grouping is made at the first call, so
-        call it only when every column is declared."""
+        """Sum a (k, n) table's columns per owner, owners in first-seen
+        order: one ``np.add.reduceat`` over each owner's columns in column
+        order, plus 0.0 (so an all-zero sum is 0.0, not -0.0).  numpy
+        rounds the sums in its own order, not term by term as Python's
+        ``sum``.  The grouping is made at the first call, so call it only
+        when every column is declared."""
         owners, order, starts = self._owner_groups
         sums = np.add.reduceat(table[:, order], starts, axis=1) + 0.0
         return dict(zip(owners, sums.T.tolist()))
@@ -427,10 +429,12 @@ def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
     return prices
 
 
-def build_objective(s: Scenario, reg: VariableRegistry) -> np.ndarray:
-    """Minimization objective: the settlement prices of each column."""
-    energy, capacity, mileage = settlement_prices(s, reg)
-    return energy + capacity + mileage
+def price_objective(s: Scenario,
+                    reg: VariableRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """The minimization objective and the :func:`settlement_prices` table
+    it sums."""
+    energy, capacity, mileage = prices = settlement_prices(s, reg)
+    return energy + capacity + mileage, prices
 
 
 def add_drag_constraints(s: Scenario, reg: VariableRegistry,
@@ -522,7 +526,7 @@ def add_evcs_constraints(s: Scenario, reg: VariableRegistry,
     pick = owner * len(steps) + hour
     P, r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in evcss)[pick]
                      for fam in ("P", "r_up", "r_dn"))
-    b_ev = np.array([reg[("b_ev", cfg.name)] for cfg in evcss], dtype=np.intp)
+    b_ev = reg.hourly(("b_ev", cfg.name) for cfg in evcss)
     b = b_ev[owner]
     er, err = (_each(evcss, name)[owner] for name in ("er_max", "err_max"))
     rows.add(at, LE, 0.0, (P, 1.0), (b, -er))
@@ -639,9 +643,9 @@ def build(s: Scenario) -> MilpProblem:
                        add_network_constraints, add_aggregation_constraints):
         add_family(s, reg, rows)
     A, sense, rhs = rows.assemble(len(reg))
-    energy, capacity, mileage = prices = settlement_prices(s, reg)
+    objective, prices = price_objective(s, reg)
     return MilpProblem(
-        objective=energy + capacity + mileage, A=A, sense=sense, rhs=rhs,
+        objective=objective, A=A, sense=sense, rhs=rhs,
         row_names=tuple(rows.names), lower=lower, upper=upper,
         integrality=integral, registry=reg, prices=prices)
 
@@ -686,7 +690,7 @@ def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,
             esag_mode[name] = {t: int(round(v))
                                for t, v in zip(steps, series("b_es", name))}
         elif kind == KIND_EVCS:
-            evcs_enabled[name] = int(round(float(values[reg[("b_ev", name)]])))
+            evcs_enabled[name] = int(round(series("b_ev", name)[0]))
 
     return Schedule(
         steps=steps,

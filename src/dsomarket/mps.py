@@ -34,12 +34,6 @@ def write_mps(problem: MilpProblem, path: str, name: str = "DSOMILP") -> None:
         fh.writelines(_chunks(problem, name))
 
 
-def format_mps(problem: MilpProblem, name: str = "DSOMILP") -> str:
-    """The MPS text of the problem; ValueError as for ``write_mps``."""
-    problem.check_senses()
-    return "".join(_chunks(problem, name))
-
-
 def _join(*fields) -> str:
     """Lines whose k-th token is ``fields[k]``: per line, or one string."""
     size = next(len(f) for f in fields if not isinstance(f, str))

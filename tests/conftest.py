@@ -3,6 +3,11 @@ session) and a small-scenario factory for targeted tests."""
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from dsomarket.analysis import scale_energy_offers, settle
@@ -23,6 +28,8 @@ from dsomarket.model import (
     Scenario,
     WholesalePrices,
 )
+from dsomarket.mps import write_mps
+from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import solve_milp
 
 
@@ -55,6 +62,27 @@ def rows_by_name(problem):
                    A.data[A.indptr[i]:A.indptr[i + 1]].tolist(),
                    str(problem.sense[i]), float(problem.rhs[i]))
             for i, name in enumerate(problem.row_names)}
+
+
+def ladder_rung(k: int, seed: int = 0) -> Scenario:
+    """Rung ``k`` of the benchmark's scenario ladder (``bench/ladder.py``)
+    for ladder seed ``seed``."""
+    spec = importlib.util.spec_from_file_location(
+        "ladder", Path(__file__).parents[1] / "bench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()), k, seed)
+    return scenario_from_dict(doc)[0]
+
+
+def mps_text(problem, name: str = "DSOMILP") -> str:
+    """The text ``write_mps`` writes for ``problem``, read back byte for
+    byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.mps")
+        write_mps(problem, path, name)
+        with open(path, "rb") as fh:
+            return fh.read().decode()
 
 
 def first_energy_rise(cases, target, relative_gap):

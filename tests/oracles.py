@@ -8,9 +8,11 @@ package's branch-and-bound.  The MPS oracle formats the file one column
 and one number at a time in plain Python, and the build oracle compiles
 a scenario one column and one constraint row at a time.  The validation
 and per-unit oracles spell out every series check and every rescaled
-field by hand, class by class.  The closed-form row count, the revenue
-regrouping residual and the column-key lookup are helpers only tests
-use.
+field by hand, class by class.  The reference registry keys every column
+by ``(*head, t, *owner)``, one column at a time, so tests look a column up
+by its key; the package keeps no such key.  The closed-form row count, the
+revenue regrouping residual and the column-key lookup are helpers only
+tests use.
 """
 
 from __future__ import annotations
@@ -84,9 +86,65 @@ def make_lp(c, A, b, lower, upper) -> MilpProblem:
                         [False] * len(c))
 
 
-def key_of(reg: VariableRegistry, idx: int) -> tuple:
-    """The key of column ``idx`` of ``reg``."""
-    return reg.keys()[idx]
+class ReferenceRegistry:
+    """Keyed column map, declared one column at a time: the key of a column
+    of family ``head + owner`` in hour t is ``(*head, t, *owner)``, and of a
+    column with no hour ``head + owner``."""
+
+    def __init__(self) -> None:
+        self.index: dict[tuple, int] = {}
+        self.family: list[tuple[tuple, int | None]] = []   # (family, hour)
+        self._bounds: list[tuple[float, float, bool]] = []
+
+    def add(self, head: tuple, t: int | None = None, owner: tuple = (),
+            lower: float = -np.inf, upper: float = np.inf,
+            binary: bool = False) -> int:
+        """Declare the next column; a binary one is integral on [0, 1]."""
+        key = head + ((t,) if t is not None else ()) + owner
+        if key in self.index:
+            raise ValueError(f"duplicate variable {key}")
+        self.index[key] = len(self.family)
+        self.family.append((head + owner, t))
+        self._bounds.append((0.0, 1.0, True) if binary
+                            else (lower, upper, False))
+        return self.index[key]
+
+    def __getitem__(self, key: tuple) -> int:
+        return self.index[key]
+
+    def __len__(self) -> int:
+        return len(self.family)
+
+    def keys(self) -> tuple[tuple, ...]:
+        return tuple(self.index)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lower, upper, binary = zip(*self._bounds)
+        return (np.array(lower, dtype=float), np.array(upper, dtype=float),
+                np.array(binary, dtype=bool))
+
+
+def key_of(ref: ReferenceRegistry, idx: int) -> tuple:
+    """The key of column ``idx`` of ``ref``."""
+    return ref.keys()[idx]
+
+
+def package_columns(reg: VariableRegistry, ref: ReferenceRegistry,
+                    first: int) -> list[int]:
+    """The column of ``reg`` at each key of ``ref``, in ``ref``'s column
+    order: ``hourly([head + owner])[t - first]`` for ``(*head, t,
+    *owner)``, and a family's one column for a key with no hour."""
+    return [int(reg.hourly([family])[0 if t is None else t - first])
+            for family, t in ref.family]
+
+
+def owner_columns(ref: ReferenceRegistry) -> dict[object, list[int]]:
+    """``ref``'s columns grouped by the last part of their keys: owners in
+    first-seen order, each owner's columns in column order."""
+    groups: dict[object, list[int]] = {}
+    for key, j in ref.index.items():
+        groups.setdefault(key[-1], []).append(j)
+    return groups
 
 
 def expected_row_count(s: Scenario) -> int:
@@ -308,9 +366,10 @@ class _ReferenceRows:
 
 def reference_build(s: Scenario) -> MilpProblem:
     """The compiled problem of a valid scenario, built one column and one
-    row at a time: every column through ``VariableRegistry.add``, every
-    price and row entry through a registry key lookup."""
-    reg = _reference_registry(s)
+    row at a time: every column through ``ReferenceRegistry.add``, every
+    price and row entry through a key lookup.  Its ``registry`` is the
+    :class:`ReferenceRegistry`."""
+    reg = reference_registry(s)
     lower, upper, integral = reg.bounds()
     rows = _ReferenceRows()
     for add_family in (_reference_drag_rows, _reference_esag_rows,
@@ -332,68 +391,70 @@ def reference_build(s: Scenario) -> MilpProblem:
     )
 
 
-def _reference_registry(s: Scenario) -> VariableRegistry:
+def reference_registry(s: Scenario) -> ReferenceRegistry:
     """Declare every decision column, with its bounds and integrality, in
     deterministic order."""
-    reg = VariableRegistry()
+    reg = ReferenceRegistry()
     steps = s.horizon.steps
     total_pl = sum(br.pl_max for br in s.network.branches)
     total_ql = sum(br.ql_max for br in s.network.branches)
     for t in steps:
-        reg.add("P_sub", t, lower=-total_pl, upper=total_pl)
-        reg.add("Q_sub", t, lower=-total_ql, upper=total_ql)
-        reg.add("r_sub_up", t, lower=0.0)
-        reg.add("r_sub_dn", t, lower=0.0)
+        reg.add(("P_sub",), t, lower=-total_pl, upper=total_pl)
+        reg.add(("Q_sub",), t, lower=-total_ql, upper=total_ql)
+        reg.add(("r_sub_up",), t, lower=0.0)
+        reg.add(("r_sub_dn",), t, lower=0.0)
     for cfg in s.drags:
-        k = cfg.name
+        k = (cfg.name,)
         for ti, t in enumerate(steps):
             for a, block in enumerate(cfg.blocks):
-                reg.add("P_block", a, t, k, lower=0.0, upper=block.p_max)
-            reg.add("r_up", t, k, lower=0.0, upper=cfg.cap_up_max[ti])
-            reg.add("r_dn", t, k, lower=0.0, upper=cfg.cap_dn_max[ti])
+                reg.add(("P_block", a), t, k, lower=0.0, upper=block.p_max)
+            reg.add(("r_up",), t, k, lower=0.0, upper=cfg.cap_up_max[ti])
+            reg.add(("r_dn",), t, k, lower=0.0, upper=cfg.cap_dn_max[ti])
     for cfg in s.esags:
-        k = cfg.name
+        k = (cfg.name,)
         both = cfg.dr_max + cfg.cr_max
         for t in steps:
-            reg.add("P", t, k)                      # net injection, free
-            reg.add("E", t, k, lower=cfg.e_min, upper=cfg.e_max)
-            reg.add("P_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("P_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("r_up", t, k, lower=0.0, upper=both)
-            reg.add("r_dn", t, k, lower=0.0, upper=both)
-            reg.add("r_up_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("r_dn_di", t, k, lower=0.0, upper=cfg.dr_max)
-            reg.add("r_up_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("r_dn_ch", t, k, lower=0.0, upper=cfg.cr_max)
-            reg.add("b_es", t, k, binary=True)
+            reg.add(("P",), t, k)                   # net injection, free
+            reg.add(("E",), t, k, lower=cfg.e_min, upper=cfg.e_max)
+            reg.add(("P_di",), t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add(("P_ch",), t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add(("r_up",), t, k, lower=0.0, upper=both)
+            reg.add(("r_dn",), t, k, lower=0.0, upper=both)
+            reg.add(("r_up_di",), t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add(("r_dn_di",), t, k, lower=0.0, upper=cfg.dr_max)
+            reg.add(("r_up_ch",), t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add(("r_dn_ch",), t, k, lower=0.0, upper=cfg.cr_max)
+            reg.add(("b_es",), t, k, binary=True)
     for cfg in s.evcss:
-        k = cfg.name
+        k = (cfg.name,)
         avail = set(cfg.availability)
         for t in steps:
             # no EVs present: every column for this hour pinned to zero
             on = t in avail
-            reg.add("P", t, k, lower=0.0, upper=cfg.er_max if on else 0.0)
-            reg.add("r_up", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
-            reg.add("r_dn", t, k, lower=0.0, upper=cfg.err_max if on else 0.0)
-        reg.add("b_ev", k, binary=True)
+            reg.add(("P",), t, k, lower=0.0, upper=cfg.er_max if on else 0.0)
+            reg.add(("r_up",), t, k, lower=0.0,
+                    upper=cfg.err_max if on else 0.0)
+            reg.add(("r_dn",), t, k, lower=0.0,
+                    upper=cfg.err_max if on else 0.0)
+        reg.add(("b_ev",), owner=k, binary=True)
     for cfg in s.ddgags:
+        k = (cfg.name,)
         for t in steps:
-            reg.add("P", t, cfg.name, lower=cfg.p_min, upper=cfg.p_max)
-            reg.add("r_up", t, cfg.name, lower=0.0, upper=cfg.ru)
-            reg.add("r_dn", t, cfg.name, lower=0.0, upper=cfg.rd)
+            reg.add(("P",), t, k, lower=cfg.p_min, upper=cfg.p_max)
+            reg.add(("r_up",), t, k, lower=0.0, upper=cfg.ru)
+            reg.add(("r_dn",), t, k, lower=0.0, upper=cfg.rd)
     for br in s.network.branches:
         for t in steps:
-            reg.add("Pl", br.id, t, lower=-br.pl_max, upper=br.pl_max)
-            reg.add("Ql", br.id, t, lower=-br.ql_max, upper=br.ql_max)
+            reg.add(("Pl", br.id), t, lower=-br.pl_max, upper=br.pl_max)
+            reg.add(("Ql", br.id), t, lower=-br.ql_max, upper=br.ql_max)
     for bus in s.network.buses:
         for t in steps:
-            reg.add("V", bus.id, t, lower=s.network.v_min,
+            reg.add(("V", bus.id), t, lower=s.network.v_min,
                     upper=s.network.v_max)
     return reg
 
 
-
-def _reference_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
+def _reference_prices(s: Scenario, reg: ReferenceRegistry) -> np.ndarray:
     """Energy, capacity and mileage price of every column, as the rows of
     a (3, n) table, signed as in the objective: payments to aggregators
     enter positively, wholesale income and collections from loads
@@ -436,7 +497,7 @@ def _reference_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
 
 
 
-def _reference_drag_rows(s: Scenario, reg: VariableRegistry,
+def _reference_drag_rows(s: Scenario, reg: ReferenceRegistry,
                            rows: _ReferenceRows) -> None:
     for cfg in s.drags:
         blocks = range(len(cfg.blocks))
@@ -453,7 +514,7 @@ def _reference_drag_rows(s: Scenario, reg: VariableRegistry,
                 (1.0,) * len(block_cols) + (1.0,), LE, total)
 
 
-def _reference_esag_rows(s: Scenario, reg: VariableRegistry,
+def _reference_esag_rows(s: Scenario, reg: ReferenceRegistry,
                            rows: _ReferenceRows) -> None:
     sig = s.regulation
     dt = s.horizon.step_hours
@@ -532,7 +593,7 @@ def _reference_esag_rows(s: Scenario, reg: VariableRegistry,
                 (1.0, 1.0), LE, cfg.cr_max)
 
 
-def _reference_evcs_rows(s: Scenario, reg: VariableRegistry,
+def _reference_evcs_rows(s: Scenario, reg: ReferenceRegistry,
                            rows: _ReferenceRows) -> None:
     sig = s.regulation
     dt = s.horizon.step_hours
@@ -572,7 +633,7 @@ def _reference_evcs_rows(s: Scenario, reg: VariableRegistry,
                  [cfg.e_init - cfg.cl_max] + charge, LE, 0.0)
 
 
-def _reference_ddgag_rows(s: Scenario, reg: VariableRegistry,
+def _reference_ddgag_rows(s: Scenario, reg: ReferenceRegistry,
                           rows: _ReferenceRows) -> None:
     for cfg in s.ddgags:
         for t in s.horizon.steps:
@@ -586,7 +647,7 @@ def _reference_ddgag_rows(s: Scenario, reg: VariableRegistry,
                 (1.0, -1.0), GE, cfg.p_min)
 
 
-def _reference_network_rows(s: Scenario, reg: VariableRegistry,
+def _reference_network_rows(s: Scenario, reg: ReferenceRegistry,
                             rows: _ReferenceRows) -> None:
     net = s.network
     steps = s.horizon.steps
@@ -646,7 +707,7 @@ def _reference_network_rows(s: Scenario, reg: VariableRegistry,
             net.v_substation)
 
 
-def _reference_aggregation_rows(s: Scenario, reg: VariableRegistry,
+def _reference_aggregation_rows(s: Scenario, reg: ReferenceRegistry,
                                 rows: _ReferenceRows) -> None:
     """Substation offers: generation-side up plus load-side down (and the
     symmetric cross-mapping for the down product)."""

@@ -36,6 +36,7 @@ from oracles import (
     make_problem,
     random_lp,
     random_milp,
+    reference_registry,
     vertex_enumeration_lp,
 )
 from dsomarket import cli
@@ -150,12 +151,13 @@ def test_criterion_3_bundled_solve(report, bundled, bundled_problem,
 
 def test_criterion_4_binary_structure(report, bundled, bundled_problem):
     reg = bundled_problem.registry
-    n_es = sum(1 for k in reg.keys() if k[0] == "b_es")
-    n_ev = sum(1 for k in reg.keys() if k[0] == "b_ev")
+    n_es = len(reg.hourly(("b_es", cfg.name) for cfg in bundled.esags))
+    n_ev = len(reg.hourly(("b_ev", cfg.name) for cfg in bundled.evcss))
+    ref = reference_registry(bundled)
     window = set(bundled.evcss[0].availability)
     pinned = all(
-        bundled_problem.lower[reg[(fam, t, "evcs-1")]] == 0.0
-        and bundled_problem.upper[reg[(fam, t, "evcs-1")]] == 0.0
+        bundled_problem.lower[ref[(fam, t, "evcs-1")]] == 0.0
+        and bundled_problem.upper[ref[(fam, t, "evcs-1")]] == 0.0
         for t in bundled.horizon.steps if t not in window
         for fam in ("P", "r_up", "r_dn"))
     ok = (n_es == 24 and n_ev == 1
@@ -170,7 +172,7 @@ def test_criterion_4_binary_structure(report, bundled, bundled_problem):
 
 def test_criterion_5_binary_semantics(report, bundled, bundled_problem,
                                       bundled_solution, bundled_schedule):
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     x = bundled_solution.values
     tol = 1e-6
     mode_ok = True

@@ -13,7 +13,7 @@ from conftest import (
     reported_solution,
     rows_by_name,
 )
-from oracles import regrouping_residual
+from oracles import package_columns, reference_registry, regrouping_residual
 from dsomarket import analysis, formulation
 from dsomarket.analysis import (
     CHUNK_CASES,
@@ -24,7 +24,7 @@ from dsomarket.analysis import (
     scale_energy_offers,
     settle,
 )
-from dsomarket.formulation import build, build_objective, decode
+from dsomarket.formulation import build, decode, price_objective
 from dsomarket.model import DemandBlock
 from dsomarket.solver import (
     NODE_LIMIT,
@@ -91,7 +91,7 @@ def test_demand_blocks_priced_stepwise():
     s = replace(s, drags=(replace(cfg, blocks=blocks),))
     problem = build(s)
     x = np.zeros(problem.num_cols)
-    reg = problem.registry
+    reg = reference_registry(s)
     x[reg[("P_block", 0, 1, cfg.name)]] = 2.0
     x[reg[("P_block", 1, 1, cfg.name)]] = 1.0
     schedule = decode(s, problem, x)
@@ -108,7 +108,7 @@ def test_demand_block_settled_at_its_own_price():
     s = replace(s, drags=(replace(cfg, blocks=blocks),))
     problem = build(s)
     x = np.zeros(problem.num_cols)
-    x[problem.registry[("P_block", 1, 1, cfg.name)]] = 1.5
+    x[reference_registry(s)[("P_block", 1, 1, cfg.name)]] = 1.5
     schedule = decode(s, problem, x)
     rev = compute_revenue(schedule, s)
     assert rev.entities[cfg.name].energy == pytest.approx(-1.5 * 10)
@@ -199,13 +199,15 @@ def test_scaled_case_changes_only_the_objective(bundled, bundled_problem,
     case = scale_energy_offers(bundled, target, multiplier)
     base = bundled_problem
     problem = build(case)
-    assert problem.registry.keys() == base.registry.keys()
+    ref, first = reference_registry(bundled), bundled.horizon.steps[0]
+    assert package_columns(problem.registry, ref, first) == \
+        package_columns(base.registry, ref, first)
     assert list(rows_by_name(problem).items()) == \
         list(rows_by_name(base).items())
     assert np.array_equal(problem.lower, base.lower)
     assert np.array_equal(problem.upper, base.upper)
     assert np.array_equal(problem.integrality, base.integrality)
-    objective = build_objective(case, base.registry)
+    objective, _ = price_objective(case, base.registry)
     assert problem.objective.tobytes() == objective.tobytes()
     if multiplier != 1.0:
         assert not np.array_equal(objective, base.objective)
@@ -504,8 +506,11 @@ def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
 
     for name in counts:
         wrapper = counted(name, getattr(formulation, name))
+        # analysis reaches settlement_prices through formulation's
+        # price_objective
         for module in (formulation, analysis):
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     scenario = make_scenario(T=2, kinds=("ddgag", "esag"))
     result = run_sweep(scenario, "ddgag-x", cases=40, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)

@@ -5,10 +5,8 @@ view and ``A @ x``, bit for bit, on the bundled case, ladder rungs 2, 4
 and 8 and small random problems with explicit zeros, -0.0, empty rows
 and columns and empty row blocks."""
 
-import importlib.util
 import types
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from conftest import ladder_rung
 from oracles import make_problem, scipy_csr
 from dsomarket.casestudy import bundled_case_study
 from dsomarket.csr import Csr
 from dsomarket.formulation import EQ, GE, LE, Constraints, build
-from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
 from dsomarket.solver import HighsLp, SolveOptions, solve_milp
 
 
@@ -28,13 +26,7 @@ from dsomarket.solver import HighsLp, SolveOptions, solve_milp
 def _problem(name: str):
     if name == "bundled":
         return build(bundled_case_study())
-    spec = importlib.util.spec_from_file_location(
-        "ladder", Path(__file__).parents[1] / "bench" / "ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()),
-                            int(name.removeprefix("rung ")), 0)
-    return build(scenario_from_dict(doc)[0])
+    return build(ladder_rung(int(name.removeprefix("rung "))))
 
 
 CASES = ["bundled", "rung 2", "rung 4", "rung 8"]

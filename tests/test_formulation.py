@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, rows_by_name
-from oracles import expected_row_count, key_of, make_problem, reference_build
+from conftest import ladder_rung, make_scenario, rows_by_name
+from oracles import (
+    expected_row_count,
+    make_problem,
+    owner_columns,
+    package_columns,
+    reference_build,
+    reference_registry,
+)
 from dsomarket.formulation import (
     EQ,
     GE,
@@ -20,9 +27,9 @@ from dsomarket.formulation import (
     VariableRegistry,
     add_network_constraints,
     build,
-    build_objective,
     build_registry,
     decode,
+    price_objective,
     settlement_prices,
 )
 from dsomarket.model import (
@@ -48,9 +55,11 @@ def test_registry_is_bijective_and_ordered():
     a = reg.add("P", 1)
     b = reg.add("P", 2)
     assert (a, b) == (0, 1)
-    assert reg[("P", 2)] == 1
-    assert key_of(reg, 0) == ("P", 1)
-    assert ("P", 1) in reg and ("Q", 1) not in reg
+    # a single column is filed under its whole key
+    assert reg.hourly([("P", 2)]).tolist() == [1]
+    assert reg.hourly([("P", 1)]).tolist() == [0]
+    with pytest.raises(KeyError):
+        reg.hourly([("Q", 1)])
     assert len(reg) == 2
     with pytest.raises(ValueError):
         reg.add("P", 1)
@@ -68,7 +77,9 @@ def test_registry_declares_bounds_with_each_column():
     # the bound arrays are views of the registry: it cannot grow under them
     with pytest.raises(BufferError):
         reg.add("late", 1)
-    assert len(reg) == 3 and ("late", 1) not in reg
+    assert len(reg) == 3
+    with pytest.raises(KeyError):
+        reg.hourly([("late", 1)])
 
 
 def test_registry_sums_columns_per_owner():
@@ -91,10 +102,12 @@ def test_registry_declares_blocks_hour_by_hour():
                         lower=[0.0, -1.0], upper=[[1.0, 2.0], [1.0, 3.0]],
                         binary=[True, False])
     assert block.tolist() == [[1, 2], [3, 4]]
-    assert reg.keys()[1:] == (("a", 4, "x"), ("b", 7, 4, "x"),
-                              ("a", 5, "x"), ("b", 7, 5, "x"))
-    # each family's columns hour by hour, under its key without the hour
+    # each family's columns hour by hour, under its key without the hour:
+    # ("a", 4, "x"), ("b", 7, 4, "x"), ("a", 5, "x"), ("b", 7, 5, "x"),
+    # all owned by "x"
     assert reg.hourly([("b", 7, "x"), ("a", "x")]).tolist() == [2, 4, 1, 3]
+    assert reg.sum_by_owner(np.arange(5.0)[None]) == {"first": [0.0],
+                                                      "x": [10.0]}
     assert reg.hourly([]).tolist() == []
     lower, upper, integral = reg.bounds()
     assert lower.tolist() == [-np.inf, 0.0, -1.0, 0.0, -1.0]
@@ -105,13 +118,56 @@ def test_registry_declares_blocks_hour_by_hour():
     for heads, owner in (([("c",), ("a",)], ("x",)), ([("c",), ("c",)], ())):
         with pytest.raises(ValueError, match="duplicate"):
             reg.declare((5,), heads, owner)
-        assert len(reg) == 5 and ("c", 5) + owner not in reg
+        assert len(reg) == 5
+        with pytest.raises(KeyError):
+            reg.hourly([("c",) + owner])
 
 
 def test_registry_deterministic_across_builds(bundled):
     r1 = build_registry(bundled)
     r2 = build_registry(bundled)
-    assert r1.keys() == r2.keys()
+    ref, first = reference_registry(bundled), bundled.horizon.steps[0]
+    assert len(r1) == len(r2)
+    assert package_columns(r1, ref, first) == package_columns(r2, ref, first)
+
+
+@pytest.mark.parametrize("case", ["bundled", "rung 2", "rung 4"])
+def test_registry_matches_reference_column_for_column(bundled, case):
+    s = bundled if case == "bundled" else ladder_rung(
+        int(case.removeprefix("rung ")))
+    reg, ref = build_registry(s), reference_registry(s)
+    assert len(reg) == len(ref)
+    for a, b in zip(reg.bounds(), ref.bounds()):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    # key (*head, t, *owner) is hourly([head + owner])[t - first hour]
+    assert package_columns(reg, ref, s.horizon.steps[0]) == \
+        list(range(len(ref)))
+    # per-owner sums, bit for bit, owners in first-seen order; the last
+    # hour's DSO columns hold -0.0 only, which Python's sum makes 0.0
+    groups, last = owner_columns(ref), s.horizon.steps[-1]
+    rng = np.random.default_rng(7)
+    mask = rng.random((3, len(ref))) < 0.5
+    mask[:, groups[last]] = True
+    # quarters sum exactly in any order, so Python's sum is the oracle
+    exact = np.where(mask, -0.0, rng.integers(-40, 40, mask.shape) / 4.0)
+    rows = exact.tolist()
+    _assert_sums(reg.sum_by_owner(exact), {
+        owner: [sum(row[j] for j in cols) for row in rows]
+        for owner, cols in groups.items()})
+    # numpy's add.reduceat rounds other than Python's sum: one reduceat
+    # over the owners' columns, each owner's in column order
+    table = np.where(mask, -0.0, rng.normal(size=mask.shape))
+    order = [j for cols in groups.values() for j in cols]
+    starts = np.cumsum([0] + [len(cols) for cols in groups.values()][:-1])
+    sums = np.add.reduceat(table[:, order], starts, axis=1) + 0.0
+    _assert_sums(reg.sum_by_owner(table), dict(zip(groups, sums.T.tolist())))
+
+
+def _assert_sums(sums, expected):
+    hexed = {owner: [x.hex() for x in row] for owner, row in sums.items()}
+    assert list(hexed) == list(expected)
+    assert hexed == {owner: [x.hex() for x in row]
+                     for owner, row in expected.items()}
 
 
 def test_build_rejects_invalid_scenario():
@@ -148,8 +204,8 @@ def test_single_generator_single_hour_rows():
     ])
 
 
-def test_bundled_binary_structure(bundled_problem):
-    reg = bundled_problem.registry
+def test_bundled_binary_structure(bundled, bundled_problem):
+    reg = reference_registry(bundled)
     b_es = [k for k in reg.keys() if k[0] == "b_es"]
     b_ev = [k for k in reg.keys() if k[0] == "b_ev"]
     assert len(b_es) == 24
@@ -163,7 +219,7 @@ def test_bundled_binary_structure(bundled_problem):
 
 
 def test_evcs_columns_pinned_outside_window(bundled, bundled_problem):
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     window = set(bundled.evcss[0].availability)
     name = bundled.evcss[0].name
     for t in bundled.horizon.steps:
@@ -184,9 +240,10 @@ def test_objective_sums_settlement_prices(bundled, kinds):
     # None is the bundled case
     s = bundled if kinds is None else make_scenario(T=3, kinds=kinds)
     reg = build_registry(s)
-    energy, capacity, mileage = settlement_prices(s, reg)
-    assert (energy + capacity + mileage).tobytes() == \
-        build_objective(s, reg).tobytes()
+    energy, capacity, mileage = prices = settlement_prices(s, reg)
+    objective, table = price_objective(s, reg)
+    assert (energy + capacity + mileage).tobytes() == objective.tobytes()
+    assert prices.tobytes() == table.tobytes()
     # energy columns carry no regulation price and regulation columns
     # no energy price
     assert not np.any(energy * capacity) and not np.any(energy * mileage)
@@ -194,7 +251,7 @@ def test_objective_sums_settlement_prices(bundled, kinds):
 
 def test_objective_coefficients_spot_checks(bundled, bundled_problem):
     c = bundled_problem.objective
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     w = bundled.wholesale
     sig = bundled.regulation
     # wholesale energy sales enter negatively (income for the minimization)
@@ -217,7 +274,7 @@ def test_objective_coefficients_spot_checks(bundled, bundled_problem):
 
 def test_storage_state_row_links_hours(bundled, bundled_problem):
     rows = rows_by_name(bundled_problem)
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     _, _, sense, rhs = rows["esag_state[1,esag-1]"]
     assert sense == EQ
     assert rhs == pytest.approx(bundled.esags[0].e_init)
@@ -230,7 +287,7 @@ def test_voltage_drop_row_uses_network_base(bundled, bundled_problem):
     cols, coefs, _, _ = rows_by_name(bundled_problem)["voltage_drop[1,1]"]
     br = bundled.network.branches[0]
     coef = dict(zip(cols, coefs))
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     assert coef[reg[("Pl", br.id, 1)]] == pytest.approx(
         br.r / bundled.network.s_base)
 
@@ -238,7 +295,7 @@ def test_voltage_drop_row_uses_network_base(bundled, bundled_problem):
 def test_balance_rows_list_branches_in_order(bundled, bundled_problem):
     # reference: scan every branch for every bus, as the incidence defines
     net = bundled.network
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     rows = rows_by_name(bundled_problem)
     for t in bundled.horizon.steps:
         for bus in net.buses:
@@ -264,7 +321,7 @@ def test_network_rows_reject_self_loop(bundled):
 def test_aggregation_rows_cross_map_sides(bundled, bundled_problem):
     # load-side capacity-down backs the substation's capacity-up offer
     cols, coefs, _, _ = rows_by_name(bundled_problem)["agg_up[1]"]
-    reg = bundled_problem.registry
+    reg = reference_registry(bundled)
     coef = dict(zip(cols, coefs))
     assert coef[reg[("r_sub_up", 1)]] == 1.0
     assert coef[reg[("r_up", 1, "esag-1")]] == -1.0
@@ -334,7 +391,7 @@ def test_decode_sums_demand_blocks():
     s = replace(s, drags=(replace(cfg, blocks=blocks),))
     problem = build(s)
     x = np.zeros(problem.num_cols)
-    reg = problem.registry
+    reg = reference_registry(s)
     x[reg[("P_block", 0, 1, cfg.name)]] = 2.0
     x[reg[("P_block", 1, 1, cfg.name)]] = 1.5
     sched = decode(s, problem, x)
@@ -376,7 +433,8 @@ def _assert_same_build(s):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
     assert new.row_names == ref.row_names
-    assert new.registry.keys() == ref.registry.keys()
+    assert package_columns(new.registry, ref.registry, s.horizon.steps[0]) \
+        == list(range(len(ref.registry)))
 
 
 def _fleet(T=4, start=5, copies=(2, 2, 2, 2), blocks=(1, 3), windows=None,

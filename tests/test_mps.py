@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import make_scenario
+from conftest import make_scenario, mps_text
 from oracles import make_problem, reference_mps, scipy_csr
 from dsomarket.formulation import EQ, GE, LE, build
-from dsomarket.mps import BLOCK, format_mps, write_mps
+from dsomarket.mps import BLOCK, write_mps
 from dsomarket.solver import highs_bindings
 
 
@@ -27,14 +27,14 @@ def _tiny_problem():
 
 
 def test_sections_in_order():
-    text = format_mps(_tiny_problem())
+    text = mps_text(_tiny_problem())
     positions = [text.index(section) for section in
                  ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA")]
     assert positions == sorted(positions)
 
 
 def test_row_and_column_naming_scheme():
-    text = format_mps(_tiny_problem())
+    text = mps_text(_tiny_problem())
     assert " N  COST" in text
     assert " L  R0000000" in text
     assert " G  R0000001" in text
@@ -43,7 +43,7 @@ def test_row_and_column_naming_scheme():
 
 
 def test_integer_markers_wrap_binary_columns():
-    text = format_mps(_tiny_problem())
+    text = mps_text(_tiny_problem())
     start = text.index("'INTORG'")
     end = text.index("'INTEND'")
     assert start < text.index("C0000002", start) < end
@@ -52,19 +52,19 @@ def test_integer_markers_wrap_binary_columns():
 def test_no_markers_without_integers():
     problem = make_problem(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0],
                            lower=[0.0], upper=[1.0], integrality=[False])
-    text = format_mps(problem)
+    text = mps_text(problem)
     assert "INTORG" not in text and "INTEND" not in text
 
 
 def test_bounds_section_encodes_free_and_ranged_columns():
-    text = format_mps(_tiny_problem())
+    text = mps_text(_tiny_problem())
     bounds = text[text.index("BOUNDS"):]
     assert " UP BND         C0000000" in bounds
     assert " FR BND         C0000001" in bounds
 
 
 def test_rhs_skips_zero_entries():
-    text = format_mps(_tiny_problem())
+    text = mps_text(_tiny_problem())
     rhs = text[text.index("RHS"):text.index("BOUNDS")]
     assert "R0000000" in rhs and "R0000002" in rhs
     assert "R0000001" not in rhs    # zero right-hand side
@@ -72,8 +72,8 @@ def test_rhs_skips_zero_entries():
 
 def test_format_is_deterministic_and_file_matches(tmp_path):
     problem = build(make_scenario(T=2, kinds=("ddgag", "esag")))
-    text = format_mps(problem)
-    assert text == format_mps(problem)
+    text = mps_text(problem)
+    assert text == mps_text(problem)
     path = tmp_path / "case.mps"
     write_mps(problem, str(path))
     assert path.read_text() == text
@@ -81,7 +81,7 @@ def test_format_is_deterministic_and_file_matches(tmp_path):
 
 
 def test_bundled_export_counts(bundled_problem):
-    text = format_mps(bundled_problem)
+    text = mps_text(bundled_problem)
     lines = text.splitlines()
     row_lines = [l for l in lines if l.startswith((" L ", " G ", " E "))]
     assert len(row_lines) == len(bundled_problem.row_names)
@@ -91,7 +91,7 @@ def test_bundled_export_counts(bundled_problem):
 
 
 def test_bundled_export_bytes_are_pinned(bundled_problem):
-    text = format_mps(bundled_problem)
+    text = mps_text(bundled_problem)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ccd219aec1592e354d0cb0faac894c99be7a346ae495956405796437143b5e52")
 
@@ -121,7 +121,7 @@ def _wide_problem(offset=0):
 def test_wide_export_bytes_are_pinned():
     problem = _wide_problem()
     assert problem.num_cols > BLOCK
-    text = format_mps(problem)
+    text = mps_text(problem)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0262377d914b766a5ef972aadec3d5767a042872473f069553cc348146af87e3")
 
@@ -180,7 +180,7 @@ _RUNS = make_problem(
 @example(problem=_wide_problem(offset=(60 - BLOCK) % 160))
 @example(problem=_wide_problem(offset=(40 - 2 * BLOCK) % 160))
 def test_format_matches_reference(problem):
-    assert format_mps(problem) == reference_mps(problem)
+    assert mps_text(problem) == reference_mps(problem)
 
 
 def _read_back(path):
@@ -204,7 +204,7 @@ def test_empty_binary_column_is_exported(tmp_path):
         A=sparse.csr_matrix(([1.0, 2.0], ([0, 0], [0, 2])), shape=(1, 3)),
         senses=[LE], b=[4.0], lower=[0.0, 0.0, 0.0], upper=[5.0, 1.0, 5.0],
         integrality=[False, True, False])
-    text = format_mps(problem)
+    text = mps_text(problem)
     assert ("    MARKER0000  'MARKER'                 'INTORG'\n"
             f"    C0000001    {'COST':<10}{'0':>15}\n"
             "    MARKER0001  'MARKER'                 'INTEND'\n") in text

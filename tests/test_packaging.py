@@ -1,13 +1,20 @@
-"""Packaging metadata agrees with the dependencies it declares."""
+"""Packaging metadata agrees with the dependencies it declares, and every
+public name of the package resolves."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tomllib
 from importlib.metadata import metadata, requires
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _floor(spec: str) -> tuple[int, ...]:
@@ -34,3 +41,24 @@ def test_numpy_floor_covers_scipy():
     theirs = next(r for r in requires("scipy") if r.startswith("numpy"))
     assert ours >= _floor(theirs), (
         f"numpy floor {ours} is below scipy's {theirs}")
+
+
+def test_public_names_resolve():
+    # a new interpreter, so that each name is first looked up through the
+    # package's lazy __getattr__
+    code = textwrap.dedent("""
+        import importlib, json
+        import dsomarket
+        bound = [n for n in dsomarket.__all__ if n in vars(dsomarket)]
+        wrong = [n for n in dsomarket.__all__ if getattr(dsomarket, n)
+                 is not getattr(importlib.import_module(
+                     "dsomarket." + dsomarket._EXPORTS[n]), n)]
+        print(json.dumps([len(dsomarket.__all__), bound, wrong]))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, bound, wrong = json.loads(proc.stdout)
+    assert count > 0 and bound == [] and wrong == []

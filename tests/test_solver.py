@@ -1,6 +1,5 @@
 """LP backend and branch-and-bound: statuses, options, search behavior."""
 
-import importlib.util
 import inspect
 import math
 import os
@@ -20,7 +19,7 @@ from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reported_solution
+from conftest import ladder_rung, reported_solution
 from oracles import (
     enumerate_binaries_milp,
     key_of,
@@ -28,16 +27,16 @@ from oracles import (
     make_problem,
     package_csr,
     random_milp,
+    reference_registry,
     scipy_milp,
     vertex_enumeration_lp,
 )
 from dsomarket import analysis, solver
 from dsomarket.analysis import run_sweep, scale_energy_offers
 from dsomarket.casestudy import bundled_case_study
-from dsomarket.formulation import LE, build, build_objective
+from dsomarket.formulation import LE, build, price_objective
 from dsomarket.highs import HIGHS_METHODS, HIGHS_MODULE, highs_bindings
-from dsomarket.mps import format_mps, write_mps
-from dsomarket.scenario_io import scenario_from_dict, scenario_to_dict
+from dsomarket.mps import write_mps
 from dsomarket.solver import (
     INFEASIBLE,
     NODE_LIMIT,
@@ -143,7 +142,7 @@ def test_milp_rejects_non_binary_integrality():
 def _needs_branching():
     # the root cuts leave binaries of ladder rung 2 fractional, so its
     # integer optimum needs a search
-    return build(_ladder_rung(2))
+    return build(ladder_rung(2))
 
 
 def test_milp_node_limit_status():
@@ -176,8 +175,8 @@ def _problems(source):
             yield make_problem(c, A, [LE] * len(b), b, lower, upper,
                                integrality)
     else:
-        yield build(_ladder_rung(8, seed=2) if source == "ladder rung 8"
-                    else _ladder_rung(2))
+        yield build(ladder_rung(8, seed=2) if source == "ladder rung 8"
+                    else ladder_rung(2))
 
 
 @pytest.mark.parametrize("source", ["ladder rung 8", "ladder rung 2",
@@ -354,7 +353,6 @@ def test_unknown_sense_is_refused(sense, tmp_path):
                       (problem.row_bounds, []),
                       (problem.row_residuals, [x]),
                       (problem.max_residual, [x]),
-                      (format_mps, [problem]),
                       (write_mps, [problem, str(path)])):
         with pytest.raises(ValueError, match=f"row 0 \\(row0\\) has sense "
                                              f"'{sense}'"):
@@ -377,20 +375,12 @@ def test_model_refuses_another_lp():
     assert solve_lp(other, model=model).objective == 0.0
 
 
-def _ladder_rung(k, seed=0):
-    spec = importlib.util.spec_from_file_location(
-        "ladder", Path(__file__).parents[1] / "bench" / "ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    doc = ladder.ladder_doc(scenario_to_dict(bundled_case_study()), k, seed)
-    return scenario_from_dict(doc)[0]
-
-
-def _node_fix_sets(problem, rng):
-    """A seeded sequence of node-fix sets ({column: value}) that mixes
-    random binary fixes with the cases a warm start must get right."""
+def _node_fix_sets(s, problem, rng):
+    """A seeded sequence of node-fix sets ({column: value}) of the
+    scenario's problem that mixes random binary fixes with the cases a
+    warm start must get right."""
     int_cols = np.flatnonzero(problem.integrality)
-    reg = problem.registry
+    reg = reference_registry(s)
 
     def random_fixes():
         cols = rng.choice(int_cols, size=len(int_cols) // 2, replace=False)
@@ -427,14 +417,14 @@ def _node(problem, fixes):
 
 @pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
 def test_persistent_model_matches_fresh_model(scenario):
-    s = bundled_case_study() if scenario == "bundled" else _ladder_rung(2)
+    s = bundled_case_study() if scenario == "bundled" else ladder_rung(2)
     problem = build(s)
     rng = np.random.default_rng(20240611)
     opts = SolveOptions()
     model = HighsLp(opts)
     warm_iterations = cold_iterations = 0
     statuses = {}
-    for label, fixes in _node_fix_sets(problem, rng):
+    for label, fixes in _node_fix_sets(s, problem, rng):
         node = _node(problem, fixes)
         warm = solve_lp(node, opts, model)
         cold = solve_lp(node, opts)
@@ -458,13 +448,13 @@ def _sweep_costs(s, problem, rng):
     while True:
         name = names[rng.integers(len(names))]
         multiplier = float(rng.choice([0.1, 0.5, 1.0, 2.0, 4.0]))
-        yield build_objective(scale_energy_offers(s, name, multiplier),
-                              problem.registry)
+        yield price_objective(scale_energy_offers(s, name, multiplier),
+                              problem.registry)[0]
 
 
 @pytest.mark.parametrize("scenario", ["bundled", "ladder rung 2"])
 def test_cost_changes_match_fresh_model(scenario):
-    s = bundled_case_study() if scenario == "bundled" else _ladder_rung(2)
+    s = bundled_case_study() if scenario == "bundled" else ladder_rung(2)
     problem = build(s)
     rng = np.random.default_rng(20240612)
     costs = _sweep_costs(s, problem, rng)
@@ -472,7 +462,7 @@ def test_cost_changes_match_fresh_model(scenario):
     model = HighsLp(opts)
     c = problem.objective
     warm_iterations = cold_iterations = 0
-    for label, fixes in _node_fix_sets(problem, rng):
+    for label, fixes in _node_fix_sets(s, problem, rng):
         # new bounds under the held costs, then new costs under those bounds
         for step in ("bounds", "costs"):
             if step == "costs":
@@ -505,7 +495,8 @@ def test_change_costs_rejects_bad_vectors():
     assert solve_lp(DEGENERATE_LP, model=model).objective == -1.0
 
 
-def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
+def test_milp_start_seeds_the_incumbent(bundled, bundled_problem,
+                                        bundled_solution):
     problem, best = bundled_problem, bundled_solution
     gap = SolveOptions().relative_gap * max(1.0, abs(best.objective))
     int_cols = np.flatnonzero(problem.integrality)
@@ -518,7 +509,7 @@ def test_milp_start_seeds_the_incumbent(bundled_problem, bundled_solution):
         assert abs(seeded.objective - best.objective) <= gap
         assert seeded.objective <= problem.objective @ start + gap
 
-    reg = problem.registry
+    reg = reference_registry(bundled)
     balance = reg[("P_sub", 1)]                 # in the hour-1 balance row
     voltage = reg[("V", 1, 1)]
     shifts = {"fractional": (int(int_cols[0]), 0.5),
@@ -583,8 +574,8 @@ def test_restores_of_one_state_solve_alike(bundled, bundled_problem,
     solve_milp(bundled_problem, model=model)
     state = model.state()
     case = scale_energy_offers(bundled, "esag-1", 0.2)
-    problem = replace(bundled_problem, objective=build_objective(
-        case, bundled_problem.registry))
+    problem = replace(bundled_problem, objective=price_objective(
+        case, bundled_problem.registry)[0])
     solutions = []
     for _ in range(2):
         restored = HighsLp(SolveOptions())
@@ -652,7 +643,7 @@ def _worst_cut_slack(cuts, points) -> float:
 def test_cuts_hold_at_scipy_milp_optimum(monkeypatch, scenario):
     cuts = _record_cuts(monkeypatch)
     problem = build(bundled_case_study() if scenario == "bundled"
-                    else _ladder_rung(4))
+                    else ladder_rung(4))
     sol = solve_milp(problem)
     oracle, x = scipy_milp(problem)
     assert sol.status == OPTIMAL
