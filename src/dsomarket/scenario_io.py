@@ -14,7 +14,6 @@ silently.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import MISSING, dataclass, fields
@@ -135,7 +134,13 @@ def _string(x: Any, where: str, *_) -> str:
     return x
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def _numbers(xs: Any, where: str, *_) -> tuple[float, ...]:
+    # a JSON series holds plain ints and floats: one type check each
+    if isinstance(xs, list) and _PLAIN_NUMBERS.issuperset(map(type, xs)):
+        return tuple(map(float, xs))
     if not isinstance(xs, list) or not all(_is_number(x) for x in xs):
         raise SchemaError(f"{where} must be a list of numbers")
     return tuple(float(x) for x in xs)
@@ -301,6 +306,7 @@ def save_scenario(s: Scenario, path: str,
 
 def scenario_hash(s: Scenario) -> str:
     """Stable content hash of a scenario (independent of assumptions)."""
+    import hashlib    # here, so that loading a scenario does not import it
     canonical = json.dumps(scenario_to_dict(s), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -109,6 +109,27 @@ def test_malformed_value_rejected(bundled, path, value, message):
     assert str(err.value) == message
 
 
+class _Count(int):
+    """An int subclass, as a caller building a document in code may use."""
+
+
+def test_number_series_accept_subclasses_and_refuse_bools(bundled):
+    # plain ints and floats take a fast path; anything else is checked
+    # element by element, as before
+    doc = scenario_to_dict(bundled)
+    energy = doc["wholesale"]["energy"]
+    plain = [float(x) for x in energy]
+    energy[0], energy[1] = np.float64(energy[0]), _Count(7)
+    plain[1] = 7.0
+    parsed, _ = scenario_from_dict(doc)
+    assert parsed.wholesale.energy == tuple(plain)
+    assert all(type(x) is float for x in parsed.wholesale.energy)
+    doc["wholesale"]["energy"] = [1.0, True]
+    with pytest.raises(SchemaError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "wholesale.energy must be a list of numbers"
+
+
 def _key_paths(node, path=()):
     """Every key path of a document; only the first two items of a list."""
     if isinstance(node, dict):

@@ -13,7 +13,7 @@ from scipy import sparse
 from conftest import make_scenario, mps_text
 from oracles import make_problem, reference_mps, scipy_csr
 from dsomarket.formulation import EQ, GE, LE, build
-from dsomarket.mps import BLOCK, write_mps
+from dsomarket.mps import BLOCK, _names, write_mps
 from dsomarket.solver import highs_bindings
 
 
@@ -40,6 +40,15 @@ def test_row_and_column_naming_scheme():
     assert " G  R0000001" in text
     assert " E  R0000002" in text
     assert "C0000000" in text and "C0000002" in text
+
+
+def test_names_spell_the_index_in_seven_digits():
+    # the test problems stay below 10,000 rows and columns
+    names = _names("R", 123_457)
+    for i in (0, 9, 9_999, 10_000, 99_999, 123_456):
+        assert names[i] == f"R{i:07d}".encode()
+    with pytest.raises(ValueError, match="do not fit 7 digits"):
+        _names("C", 10 ** 7 + 1)
 
 
 def test_integer_markers_wrap_binary_columns():
@@ -170,9 +179,61 @@ _RUNS = make_problem(
     integrality=[True, True, False, True, True, False, True])
 
 
+# numbers whose text is wider than 15 characters (19 and 18)
+_WIDE = (-1.23456789012e-300, 5e-324)
+
+
+def _sparse(shape, entries):
+    rows, cols, data = zip(*entries)
+    return sparse.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+# wide texts in the objective, the matrix, rhs and both bounds: column 0's
+# second line holds one alone, column 1's line ends in one
+_WIDE_LINES = make_problem(
+    c=[_WIDE[0], 0.0, 2.5],
+    A=_sparse((2, 3), [(0, 0, 1.0), (1, 0, _WIDE[1]), (0, 1, -4.0),
+                       (1, 1, _WIDE[0]), (1, 2, 3.0)]),
+    senses=[LE, EQ], b=[_WIDE[1], _WIDE[0]],
+    lower=[_WIDE[0], 0.0, -np.inf], upper=[_WIDE[1], np.inf, 7.25],
+    integrality=[False, True, False])
+
+
+def _block_edge_problem():
+    """BLOCK + 2 columns of short texts but for wide ones in the last
+    column of the first block and the first of the second, where an
+    integer run starts."""
+    n, edge = BLOCK + 2, (BLOCK - 1, BLOCK)
+    j = np.arange(n)
+    c = np.where(j % 3 == 0, 1.5, 0.0)
+    c[BLOCK] = _WIDE[1]
+    entries = [(k % 3, k, 1.0 + k % 4) for k in range(n)]
+    entries += [(2 - k % 2, k, _WIDE[k % 2]) for k in edge]
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    lower[BLOCK - 1], upper[BLOCK] = _WIDE
+    return make_problem(
+        c=c, A=_sparse((3, n), entries), senses=[LE, GE, EQ],
+        b=[2.0, _WIDE[0], -1.0], lower=lower, upper=upper,
+        integrality=j >= BLOCK)
+
+
+# every printed number 15 characters wide, so no text leaves a blank
+_FULL = (-0.123456789012, 0.0123456789012, -0.987654321098)
+_FULL_WIDTH = make_problem(
+    c=[_FULL[0], _FULL[1], 0.0],
+    A=_sparse((2, 3), [(0, 0, _FULL[2]), (1, 0, _FULL[1]), (0, 1, _FULL[0]),
+                       (1, 2, _FULL[2])]),
+    senses=[GE, EQ], b=[_FULL[1], _FULL[2]],
+    lower=[_FULL[0], -np.inf, _FULL[2]], upper=[np.inf, _FULL[1], _FULL[1]],
+    integrality=[True, False, True])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(problem=_problems())
 @example(problem=_RUNS)
+@example(problem=_WIDE_LINES)
+@example(problem=_block_edge_problem())
+@example(problem=_FULL_WIDTH)
 @example(problem=make_problem(c=[0.0, 0.0], A=sparse.csr_matrix((1, 2)),
                               senses=[EQ], b=[0.0], lower=[0.0, 0.0],
                               upper=[1.0, 1.0], integrality=[True, False]))

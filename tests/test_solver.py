@@ -37,6 +37,7 @@ from dsomarket.casestudy import bundled_case_study
 from dsomarket.formulation import LE, build, price_objective
 from dsomarket.highs import HIGHS_METHODS, HIGHS_MODULE, highs_bindings
 from dsomarket.mps import write_mps
+from dsomarket.scenario_io import save_scenario
 from dsomarket.solver import (
     INFEASIBLE,
     NODE_LIMIT,
@@ -762,6 +763,23 @@ def test_import_skips_scipy_optimize():
         import dsomarket
         print(sorted(m for m in ("scipy.optimize", "scipy.special",
                                  "scipy.linalg") if m in sys.modules))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_load_and_validate_skip_numpy_scipy_and_hashing(tmp_path):
+    # the lazy package promises that reading a scenario loads no numeric
+    # stack; hashlib too stays out until a scenario is hashed
+    path = str(tmp_path / "bundled.json")
+    save_scenario(bundled_case_study(), path)
+    proc = _fresh(f"""
+        import sys
+        import dsomarket
+        scenario = dsomarket.load_scenario({path!r})
+        assert dsomarket.validate_scenario(scenario).ok
+        print(sorted(m for m in ("numpy", "scipy", {HIGHS_MODULE!r},
+                                 "hashlib") if m in sys.modules))
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
