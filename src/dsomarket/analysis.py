@@ -26,7 +26,7 @@ from .formulation import (
     VariableRegistry,
     build,
     decode,
-    price_objective,
+    price_energy,
 )
 from .model import (
     KIND_DRAG,
@@ -68,10 +68,6 @@ class RevenueReport:
     dso_mileage: float
     dso_position: dict[int, float]    # per hour, income positive
 
-    @property
-    def dso_total(self) -> float:
-        return self.dso_energy + self.dso_capacity + self.dso_mileage
-
     def rows(self) -> list[str]:
         """``entity,energy,capacity,mileage,total`` for each entity by name,
         then for the DSO as ``dso_wholesale``: the rows of revenue.csv and
@@ -98,9 +94,9 @@ def compute_revenue(schedule: Schedule, scenario: Scenario) -> RevenueReport:
 
 def settle(scenario: Scenario, registry: VariableRegistry,
            prices: np.ndarray, values: np.ndarray) -> RevenueReport:
-    """The payments per entity of the columns ``values`` under the
-    scenario's price table ``prices`` (its ``settlement_prices`` over
-    ``registry``)."""
+    """The payments per entity of the columns ``values`` under the price
+    table ``prices`` over ``registry``.  Of the scenario it reads only the
+    hours and the aggregators' names, which no sweep case changes."""
     # (energy, capacity, mileage) paid to each aggregator and, per hour, by
     # the DSO's columns; the DSO's position is what it is paid, so negated
     totals = registry.sum_by_owner(prices * values)
@@ -150,6 +146,25 @@ def scale_energy_offers(scenario: Scenario, target: str,
     return out
 
 
+def _scales_validly(scenario: Scenario, target: str,
+                    multiplier: float) -> bool:
+    """Whether the target's energy offers scaled by ``multiplier`` pass
+    the checks :func:`validate_scenario` makes of them: every scaled
+    price finite and, for a DRAG, its block bids non-increasing in each
+    hour.  Scaling a valid scenario changes nothing else it checks.
+
+    Order is checked, not only finiteness: rounding can tie two block
+    bids that increase, at one multiplier and not at another."""
+    bids = [b.prices for cfg in scenario.drags if cfg.name == target
+            for b in cfg.blocks]
+    # an overflow is a non-finite price, which the caller reports
+    with np.errstate(over="ignore"):
+        energy = np.multiply(scenario.offers[target].energy, multiplier)
+        bids = np.multiply(bids, multiplier)   # (blocks, hours), or empty
+    return bool(np.isfinite(energy).all() and np.isfinite(bids).all()
+                and (bids[:-1] >= bids[1:]).all())
+
+
 # Sweep cases per chunk.  A constant, not an option: the chunks fix which
 # cases bracket which, so they must not depend on the worker count.
 CHUNK_CASES = 10
@@ -175,10 +190,11 @@ class _Point:
 @dataclass
 class _Chunk:
     """What the cases of one chunk share: the sweep's inputs, the problem
-    whose constraints they reuse, one HiGHS model holding those
-    constraints and the solution the next solve starts from; and, by case
-    index, each case's scenario and problem (priced once), its result,
-    and, if it was solved to optimality, its point."""
+    whose constraints and price table they reuse, one HiGHS model holding
+    those constraints and the solution the next solve starts from; and,
+    by case index, each case's problem (priced once), its result, and, if
+    it was solved to optimality, its point.  Every case settles with the
+    sweep's own scenario (:func:`settle`)."""
 
     scenario: Scenario
     target: str
@@ -186,27 +202,38 @@ class _Chunk:
     base: MilpProblem | None = None
     model: HighsLp | None = None
     start: np.ndarray | None = None
-    priced: dict[int, tuple[Scenario, MilpProblem]] = field(
-        default_factory=dict)
+    priced: dict[int, MilpProblem] = field(default_factory=dict)
     results: dict[int, SweepCase] = field(default_factory=dict)
     points: dict[int, _Point] = field(default_factory=dict)
 
-    def price(self, i: int) -> tuple[Scenario, MilpProblem]:
-        """Case ``i``'s scenario and problem: built if the chunk has no
-        base problem yet, else the base's constraints with this case's
-        price table."""
+    def price(self, i: int) -> MilpProblem:
+        """Case ``i``'s problem, the target's energy offers scaled by i/10:
+        built if the chunk has no base problem yet, else the base's
+        constraints with the base's price table, the target's energy
+        entries repriced (:func:`~dsomarket.formulation.price_energy`).
+
+        Those entries are all a case changes of the already validated
+        base, so a case is valid when they are (:func:`_scales_validly`);
+        one that is not raises the report of validating its scaled
+        scenario."""
         if i not in self.priced:
-            case = scale_energy_offers(self.scenario, self.target, i / 10.0)
+            multiplier = i / 10.0
             if self.base is None:
-                problem = self.base = build(case)
+                problem = self.base = build(scale_energy_offers(
+                    self.scenario, self.target, multiplier))
             else:
-                report = validate_scenario(case)
-                if not report.ok:
-                    raise ScenarioValidationError(report)
-                objective, prices = price_objective(case, self.base.registry)
-                problem = replace(self.base, objective=objective,
-                                  prices=prices)
-            self.priced[i] = case, problem
+                if not _scales_validly(self.scenario, self.target,
+                                       multiplier):
+                    report = validate_scenario(scale_energy_offers(
+                        self.scenario, self.target, multiplier))
+                    if not report.ok:
+                        raise ScenarioValidationError(report)
+                energy, capacity, mileage = prices = self.base.prices.copy()
+                price_energy(self.scenario, self.base.registry, energy,
+                             [self.target], multiplier)
+                problem = replace(self.base, prices=prices,
+                                  objective=energy + capacity + mileage)
+            self.priced[i] = problem
         return self.priced[i]
 
     def reset(self) -> None:
@@ -230,7 +257,7 @@ def _solve_case(chunk: _Chunk, i: int, starts=()) -> SweepCase:
     or, without ``starts``, from the chunk's last optimum."""
     multiplier = i / 10.0
     try:
-        case, problem = chunk.price(i)
+        problem = chunk.price(i)
         if starts:
             chunk.start = min(starts, key=lambda x: problem.objective @ x)
         if chunk.model is None:
@@ -249,7 +276,8 @@ def _solve_case(chunk: _Chunk, i: int, starts=()) -> SweepCase:
             chunk.start = x
             chunk.points[i] = _Point(
                 x, objective - solution.gap * max(1.0, abs(objective)))
-            revenue = settle(case, problem.registry, problem.prices, x)
+            revenue = settle(chunk.scenario, problem.registry,
+                             problem.prices, x)
         else:
             chunk.reset()
         result = SweepCase(i, multiplier, solution.status, solution.objective,
@@ -271,7 +299,7 @@ def _certified(chunk: _Chunk, a: int, b: int) -> dict[int, SweepCase] | None:
     picks = {}
     for k in range(a + 1, b):
         try:
-            case, problem = chunk.price(k)
+            problem = chunk.price(k)
         except Exception:   # left to a solve, which records the error
             return None
         lines = [float(problem.objective @ end.values) for end in ends]
@@ -282,10 +310,11 @@ def _certified(chunk: _Chunk, a: int, b: int) -> dict[int, SweepCase] | None:
         if objective - chord > chunk.opts.relative_gap * max(1.0,
                                                              abs(objective)):
             return None
-        picks[k] = case, problem, ends[lower].values, objective
+        picks[k] = problem, ends[lower].values, objective
     return {k: SweepCase(k, k / 10.0, OPTIMAL, objective,
-                         settle(case, problem.registry, problem.prices, x))
-            for k, (case, problem, x, objective) in picks.items()}
+                         settle(chunk.scenario, problem.registry,
+                                problem.prices, x))
+            for k, (problem, x, objective) in picks.items()}
 
 
 def _bisect(chunk: _Chunk, a: int, b: int) -> None:
@@ -391,14 +420,19 @@ def run_sweep(scenario: Scenario, target: str, cases: int = 40,
     a or b failed or is not optimal, each case between them is solved on
     its own, in order, from the chunk's last optimum.
 
-    A solved case reuses case 1's constraints and cuts with its own price
-    table (built once per case, for its objective and its revenue), and
-    re-solves on the chunk's model from the basis the last solve left.
-    Its revenue comes from that table (:func:`settle`, as in
-    :func:`compute_revenue`), with no schedule decoded.  A case that
-    fails or ends non-optimal makes the next solve start cold, and
-    without a snapshot (case 1 failed) every chunk starts cold and solves
-    its own left end.
+    A solved case reuses case 1's constraints and cuts, and re-solves on
+    the chunk's model from the basis the last solve left.  Its price
+    table, for its objective and its revenue, is case 1's with only the
+    target's energy entries repriced, and all it validates is that the
+    target's scaled offer prices pass the checks
+    :func:`validate_scenario` makes of them (:meth:`_Chunk.price`): the
+    sweep validates the scenario and builds a whole price table once, in
+    case 1's build.  Its revenue comes from that table (:func:`settle`,
+    as in :func:`compute_revenue`), with no schedule decoded.  A case
+    that fails or ends non-optimal makes the next solve start cold, and
+    without a snapshot (case 1 failed) every chunk starts cold and builds
+    and solves its own left end, whose problem the chunk's other cases
+    reuse as they would case 1's.
 
     The chunks run on ``threads`` worker processes (default
     ``DSO_THREADS``, else the CPUs this process may use) only if case 1

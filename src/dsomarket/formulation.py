@@ -408,17 +408,9 @@ def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
     capacity[dn] = np.negative(w.cap_dn)
     mileage[up] = -(share_up * w.mil_up)
     mileage[dn] = -(share_dn * w.mil_dn)
-    # ... and buys them from the aggregators at their offer prices: each
-    # DRAG block at its own bid, EV charging collected, injections paid
-    energy[reg.hourly(("P_block", a, cfg.name) for cfg in s.drags
-                      for a in range(len(cfg.blocks)))] = \
-        -_stack([b for cfg in s.drags for b in cfg.blocks], "prices") * dt
-    evcss, gens = s.evcss, s.esags + s.ddgags
-    energy[reg.hourly(("P", cfg.name) for cfg in evcss)] = \
-        -_stack([s.offers[cfg.name] for cfg in evcss], "energy") * dt
-    energy[reg.hourly(("P", cfg.name) for cfg in gens)] = \
-        _stack([s.offers[cfg.name] for cfg in gens], "energy") * dt
+    # ... and buys them from the aggregators at their offer prices
     names = [cfg.name for _, cfg in s.aggregators()]
+    price_energy(s, reg, energy, names, 1.0)
     offers = [s.offers[name] for name in names]
     up = reg.hourly(("r_up", name) for name in names)
     dn = reg.hourly(("r_dn", name) for name in names)
@@ -427,6 +419,34 @@ def settlement_prices(s: Scenario, reg: VariableRegistry) -> np.ndarray:
     mileage[up] = np.tile(share_up, len(names)) * _stack(offers, "mil_up")
     mileage[dn] = np.tile(share_dn, len(names)) * _stack(offers, "mil_dn")
     return prices
+
+
+def price_energy(s: Scenario, reg: VariableRegistry, energy: np.ndarray,
+                 names, multiplier: float) -> None:
+    """Write the energy prices of the aggregators ``names`` into the
+    energy row of a price table, each offer price p scaled to p *
+    multiplier: ``(p * multiplier) * step_hours`` is paid for ESAG and
+    DDGAG injections and collected for EV charging and for each DRAG
+    block, at that block's own bid.  These are the roundings, in the
+    same order, of scaling the offers (``analysis.scale_energy_offers``)
+    and pricing them with multiplier 1.0 (``p * 1.0 == p``), so both
+    give the same prices bit for bit."""
+    names = set(names)
+    drags = [cfg for cfg in s.drags if cfg.name in names]
+    evcss = [cfg for cfg in s.evcss if cfg.name in names]
+    gens = [cfg for cfg in s.esags + s.ddgags if cfg.name in names]
+    dt = s.horizon.step_hours
+    for sign, keys, series in (
+            (-1.0, [("P_block", a, cfg.name) for cfg in drags
+                    for a in range(len(cfg.blocks))],
+             [b.prices for cfg in drags for b in cfg.blocks]),
+            (-1.0, [("P", cfg.name) for cfg in evcss],
+             [s.offers[cfg.name].energy for cfg in evcss]),
+            (1.0, [("P", cfg.name) for cfg in gens],
+             [s.offers[cfg.name].energy for cfg in gens])):
+        scaled = np.multiply(np.ravel(series), multiplier)
+        scaled *= sign * dt     # exact: a negation does not round
+        energy[reg.hourly(keys)] = scaled
 
 
 def price_objective(s: Scenario,

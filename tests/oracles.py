@@ -164,7 +164,8 @@ def regrouping_residual(report, objective: float) -> float:
     totals minus the DSO position must reproduce it exactly.
     """
     total = sum(e.total for e in report.entities.values())
-    return abs(total - report.dso_total - objective)
+    dso = report.dso_energy + report.dso_capacity + report.dso_mileage
+    return abs(total - dso - objective)
 
 
 def vertex_enumeration_lp(c, A, b, lower, upper, tol=1e-9):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     first_energy_rise,
+    ladder_rung,
     make_scenario,
     reported_solution,
     rows_by_name,
@@ -25,7 +26,11 @@ from dsomarket.analysis import (
     settle,
 )
 from dsomarket.formulation import build, decode, price_objective
-from dsomarket.model import DemandBlock
+from dsomarket.model import (
+    DemandBlock,
+    ScenarioValidationError,
+    validate_scenario,
+)
 from dsomarket.solver import (
     NODE_LIMIT,
     OPTIMAL,
@@ -65,7 +70,8 @@ def test_generator_revenue_hand_computed(generator_case):
     assert rev.dso_energy == pytest.approx(30.0)
     assert rev.dso_capacity == pytest.approx(0.5 * 5.0)
     assert rev.dso_mileage == pytest.approx(0.5 * 1.0 * 0.5 * 0.25)
-    assert rev.dso_position[1] == pytest.approx(rev.dso_total)
+    assert rev.dso_position[1] == pytest.approx(
+        rev.dso_energy + rev.dso_capacity + rev.dso_mileage)
     assert solution.objective == pytest.approx(-10.5125)
 
 
@@ -454,7 +460,7 @@ def test_bracket_certifies_on_the_lower_line_over_the_bounds_chord(
         # the proven lower bound, not the incumbent
         assert chunk.points[i].bound == case.objective - gap * max(
             1.0, abs(case.objective))
-    case, problem = chunk.price(2)
+    problem = chunk.price(2)
     lines = [float(problem.objective @ chunk.points[i].values)
              for i in (1, 3)]
     low = min(lines)
@@ -470,7 +476,7 @@ def test_bracket_certifies_on_the_lower_line_over_the_bounds_chord(
     x = points[(1, 3)[lines.index(low)]].values
     assert list(certified) == [2]
     assert (certified[2].status, certified[2].objective) == (OPTIMAL, low)
-    assert certified[2].revenue == settle(case, problem.registry,
+    assert certified[2].revenue == settle(bundled, problem.registry,
                                           problem.prices, x)
     # one more than the tolerance below it does not
     for i in (1, 3):
@@ -493,10 +499,12 @@ def test_export_sweep_layout(tmp_path):
 
 
 def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
-    # one build (case 1's), one price table per case (for the objective,
-    # reused for revenue), and no schedule decoded or scenario hashed
+    # one build (case 1's), the only one to validate the scenario and to
+    # build a whole price table; every other case reprices the target's
+    # energy entries of that table (for its objective, reused for
+    # revenue), and no schedule is decoded or scenario hashed
     counts = {"build": 0, "decode": 0, "scenario_hash": 0,
-              "settlement_prices": 0}
+              "settlement_prices": 0, "validate_scenario": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -507,7 +515,7 @@ def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
     for name in counts:
         wrapper = counted(name, getattr(formulation, name))
         # analysis reaches settlement_prices through formulation's
-        # price_objective
+        # build, and validate_scenario through build and directly
         for module in (formulation, analysis):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
@@ -515,7 +523,7 @@ def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
     result = run_sweep(scenario, "ddgag-x", cases=40, threads=1)
     assert all(c.status == OPTIMAL for c in result.cases)
     assert counts == {"build": 1, "decode": 0, "scenario_hash": 0,
-                      "settlement_prices": 40}
+                      "settlement_prices": 1, "validate_scenario": 1}
     # each case settles as compute_revenue settles its decoded schedule
     for case in (result.cases[0], result.cases[-1]):
         scaled = scale_energy_offers(scenario, "ddgag-x", case.multiplier)
@@ -536,6 +544,93 @@ def test_sweep_builds_once_and_prices_each_case_once(monkeypatch):
     other = scale_energy_offers(scenario, "ddgag-x", 0.5)
     with pytest.raises(StaleSchedule):
         compute_revenue(schedule, other)
+
+
+def _two_block_drag(bids=(30.0, 10.0)):
+    """One hour, one DRAG with two 2 MW blocks at ``bids``."""
+    s = make_scenario(T=1, kinds=("drag",))
+    blocks = tuple(DemandBlock(2.0, (bid,)) for bid in bids)
+    return replace(s, drags=(replace(s.drags[0], blocks=blocks),))
+
+
+@pytest.mark.parametrize("scenario, target", [
+    *[("bundled", t) for t in ("ddgag-1", "esag-1", "drag-1", "evcs-1")],
+    ("two blocks", "drag-x"),
+    ("rung 2", "drag-2"),
+    ("20-minute steps", "esag-1"),
+])
+def test_sweep_case_prices_match_a_scaled_build(bundled, scenario, target):
+    # each case's price table and objective, from the base problem of case
+    # 1 (a chunk restored from the snapshot) or of case 11 (a chunk's left
+    # end, with no snapshot), are those of its own scaled scenario, byte
+    # for byte; with steps of 1/3 h, (p * m) * dt rounds unlike p * (m * dt)
+    s = {"bundled": lambda: bundled, "two blocks": _two_block_drag,
+         "rung 2": lambda: ladder_rung(2),
+         "20-minute steps": lambda: replace(bundled, horizon=replace(
+             bundled.horizon, step_hours=1 / 3))}[scenario]()
+    for first in (1, 11):
+        chunk = analysis._Chunk(s, target, SolveOptions())
+        chunk.price(first)
+        for i in range(1, 41):
+            problem = chunk.price(i)
+            objective, prices = price_objective(
+                scale_energy_offers(s, target, i / 10.0), problem.registry)
+            assert problem.prices.tobytes() == prices.tobytes(), i
+            assert problem.objective.tobytes() == objective.tobytes(), i
+
+
+def _first_energy_price(s, target, price):
+    """The scenario with the target's first energy offer price (its first
+    block's bid, if it is the scenario's one DRAG) set to ``price``."""
+    if (cfg := s.drags[0]).name == target:
+        block = replace(cfg.blocks[0],
+                        prices=(price,) + cfg.blocks[0].prices[1:])
+        return replace(s, drags=(replace(
+            cfg, blocks=(block,) + cfg.blocks[1:]),) + s.drags[1:])
+    offer = s.offers[target]
+    return replace(s, offers={**s.offers, target: replace(
+        offer, energy=(price,) + offer.energy[1:])})
+
+
+# rounding ties these two increasing block bids at multipliers 0.1 and
+# 0.2, and not at 0.3: case 3's blocks are not monotone
+TIED_BIDS = (22.443340315930726, 22.44334031593073)
+
+
+@pytest.mark.parametrize("target, last_valid", [
+    ("ddgag-1", 17), ("drag-1", 17), ("tied bids", 2)])
+def test_sweep_case_that_scales_invalid_reports_its_scaled_scenario(
+        bundled, target, last_valid):
+    # 1e308 * 1.8 overflows; every case below the first invalid one still
+    # prices, and that one raises the report of validating its scaled
+    # scenario
+    if target == "tied bids":
+        s, target = _two_block_drag(TIED_BIDS), "drag-x"
+    else:
+        s = _first_energy_price(bundled, target, 1e308)
+    chunk = analysis._Chunk(s, target, SolveOptions())
+    for i in range(1, last_valid + 1):
+        chunk.price(i)
+    bad = last_valid + 1
+    with pytest.raises(ScenarioValidationError) as err:
+        chunk.price(bad)
+    report = validate_scenario(scale_energy_offers(s, target, bad / 10.0))
+    assert not report.ok and err.value.report == report
+
+
+def test_sweep_case_priced_beyond_floats_after_finite_offers(bundled):
+    # with two-hour steps, 1e308 * 1.0 is a valid offer whose price 2e308
+    # is not finite: the case prices, as its own build prices it
+    s = _first_energy_price(bundled, "ddgag-1", 1e308)
+    s = replace(s, horizon=replace(s.horizon, step_hours=2.0))
+    chunk = analysis._Chunk(s, "ddgag-1", SolveOptions())
+    chunk.price(1)
+    with np.errstate(over="ignore"):
+        problem = chunk.price(10)
+        objective, _ = price_objective(
+            scale_energy_offers(s, "ddgag-1", 1.0), problem.registry)
+    assert not np.isfinite(objective).all()
+    assert problem.objective.tobytes() == objective.tobytes()
 
 
 def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
