@@ -6,11 +6,15 @@ objective, and all constraint families for the DSO coordination problem:
 demand response blocks, storage charge dynamics with mode binaries, EV
 charging windows with an enable binary, dispatchable generation limits,
 linearized radial power flow, and the substation-level aggregation
-identities.  The build works in blocks: each entity declares its columns
-as one (hours x families) block, and the registry's one column map is
-each family's columns by hour (:meth:`VariableRegistry.hourly`); it keeps
-no key per column.  Each constraint family emits one kind of row for every
-entity and hour at once as (row, column, coefficient) arrays, and the
+identities.  The build does its work per fleet, not per entity or row.
+A scenario that :func:`~dsomarket.model.validate_scenario` has checked
+(as loading a file does) is not checked again.  Each entity's columns are
+one (hours x families) block, and a fleet's blocks are declared in one
+registry call; the registry's one column map is each family's columns by
+hour (:meth:`VariableRegistry.hourly`), and it keeps no key per column.
+Each constraint family emits one kind of row for every entity and hour at
+once as (row, column, coefficient) arrays, and names its rows by a recipe
+that is formatted only when a name is first read (:class:`RowNames`); the
 price table is filled by fancy indexing over the same column arrays.  The
 compiled :class:`MilpProblem` holds the constraints as one sparse matrix
 ``A`` (:class:`~dsomarket.csr.Csr`: numpy CSR arrays, rows in build
@@ -27,8 +31,11 @@ scipy's sparse matrices.  Also decodes raw solver vectors back into a
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, groupby, product, starmap
+from math import prod
 
 import numpy as np
 
@@ -40,6 +47,8 @@ from .model import (
     KIND_EVCS,
     Scenario,
     ScenarioValidationError,
+    ValidationReport,
+    Violation,
     validate_scenario,
 )
 from .scenario_io import scenario_hash
@@ -72,10 +81,8 @@ class VariableRegistry:
     network) column.
 
     The one column map is each family's columns by hour, filed under the
-    family's key: ``head + owner`` for a block declared by :meth:`declare`,
-    the whole key for a single column declared by :meth:`add`
-    (:meth:`hourly`).  Owners are numbered in first-seen order, and each
-    column keeps its owner's number.
+    family's key ``head + owner`` (:meth:`hourly`).  Owners are numbered in
+    first-seen order, and each column keeps its owner's number.
     """
 
     def __init__(self) -> None:
@@ -87,47 +94,58 @@ class VariableRegistry:
         self._binary = array("b")
         self._owner_of = array("q")
 
-    def declare(self, steps, heads, owner: tuple = (), lower=-np.inf,
-                upper=np.inf, binary=False) -> np.ndarray:
-        """Declare the column ``head + (t,) + owner`` of every hour t and
-        every head, hour by hour.  The bounds and the integrality mask
-        (give an integral column the bounds 0 and 1) broadcast to (hours,
-        heads); returns the block's column indices in that shape."""
-        shape = (len(steps), len(heads))
-        families = [head + owner for head in heads]
-        if len(set(steps)) < shape[0] or len(set(families)) < shape[1]:
-            raise ValueError(f"duplicate hours or families in {heads}")
+    def declare(self, steps, blocks, lower=-np.inf, upper=np.inf,
+                binary=False) -> np.ndarray:
+        """Declare, for each ``(heads, owner)`` of ``blocks`` in turn (one
+        per entity of a fleet), the column ``head + (t,) + owner`` of every
+        hour t and every head, hour by hour.  Every block has as many
+        heads.  The bounds and the integrality mask (give an integral
+        column the bounds 0 and 1) broadcast to (blocks, hours, heads);
+        returns the columns' indices in that shape.  A block's columns are
+        owned by its owner's last part or, if its owner is empty (a DSO
+        block), each by its hour."""
+        families = [head + owner for heads, owner in blocks for head in heads]
+        widths = {len(heads) for heads, _ in blocks}
+        shape = (len(blocks), len(steps), max(widths, default=0))
+        if len(widths) > 1:
+            raise ValueError(f"blocks of {sorted(widths)} heads")
+        if len(set(steps)) < shape[1] or len(set(families)) < len(families):
+            raise ValueError(f"duplicate hours or families in {families}")
+        if not families:
+            return np.empty(shape, dtype=np.intp)
+        if not self._series.keys().isdisjoint(families):
+            raise ValueError(f"duplicate variable among {families}")
         bounds = np.empty((3,) + shape)
         bounds[0], bounds[1], bounds[2] = lower, upper, binary
-        # a DSO column's owner is its hour
-        owners = [owner[-1]] * shape[0] if owner else steps
-        return self._append(families, owners, *bounds)
+        start = len(self)
+        # the bounds first: they cannot grow while views of them are alive
+        self._lower.frombytes(bounds[0].tobytes())
+        self._upper.frombytes(bounds[1].tobytes())
+        self._binary.frombytes(bounds[2].astype(bool).tobytes())
+        # an owner is numbered when its first column is declared
+        number, hours, owner_of = self._owners.setdefault, None, []
+        for _, owner in blocks:
+            if owner:
+                owner_of.append([number(owner[-1], len(self._owners))]
+                                * shape[1])
+            else:
+                hours = hours or [number(t, len(self._owners)) for t in steps]
+                owner_of.append(hours)
+        self._owner_of.frombytes(np.repeat(np.array(
+            owner_of, dtype=np.int64), shape[2]).tobytes())
+        block = np.arange(start, len(self)).reshape(shape)
+        self._series.update(zip(families, block.transpose(0, 2, 1).reshape(
+            -1, shape[1])))
+        return block
 
     def add(self, *key, lower: float = -np.inf, upper: float = np.inf,
             binary: bool = False) -> int:
-        """Declare the next column, owned by the key's last part; a binary
-        one is integral on [0, 1]."""
-        bounds = [[0.0], [1.0], [1]] if binary else [[lower], [upper], [0]]
-        return int(self._append([key], [key[-1]], *np.array(
-            bounds, dtype=float)[:, None])[0, 0])
-
-    def _append(self, families, owners, lower, upper, binary) -> np.ndarray:
-        # one row of columns, one per family, for each of ``owners``
-        if not self._series.keys().isdisjoint(families):
-            raise ValueError(f"duplicate variable among {families}")
-        start = len(self)
-        # the bounds first: they cannot grow while views of them are alive
-        self._lower.frombytes(lower.tobytes())
-        self._upper.frombytes(upper.tobytes())
-        self._binary.frombytes(binary.astype(bool).tobytes())
-        # an owner is numbered when its first column is declared
-        number = [self._owners.setdefault(o, len(self._owners))
-                  for o in owners] if families else []
-        self._owner_of.frombytes(np.repeat(np.array(number, dtype=np.int64),
-                                           len(families)).tobytes())
-        block = np.arange(start, len(self)).reshape(lower.shape)
-        self._series.update(zip(families, block.T))
-        return block
+        """Declare the next column, with no hour, filed under the whole key
+        and owned by its last part; a binary one is integral on [0, 1]."""
+        if binary:
+            lower, upper = 0.0, 1.0
+        return int(self.declare((None,), [([key[:-1]], key[-1:])], lower,
+                                upper, binary)[0, 0, 0])
 
     def hourly(self, keys) -> np.ndarray:
         """Columns of the families ``keys`` (keys less the hour), by hour."""
@@ -165,21 +183,64 @@ class VariableRegistry:
         return dict(zip(owners, sums.T.tolist()))
 
 
+class RowNames(Sequence):
+    """Row names, formatted all at once the first time one is read, and
+    kept.  Each segment ``(template, *axes)`` names one row per combination
+    of its axes' values, the last axis fastest, as ``template.format(
+    *values)``; ``count`` rows in all, so ``len`` formats nothing.  Plain
+    data, so it pickles (without the names).  Equal to a tuple, or another
+    RowNames, of the same names."""
+
+    def __init__(self, segments: tuple, count: int) -> None:
+        self._segments, self._count = segments, count
+        self._names: tuple[str, ...] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        return self._formatted()[i]
+
+    def __iter__(self):
+        return iter(self._formatted())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, RowNames)):
+            return self._formatted() == tuple(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return RowNames, (self._segments, self._count)
+
+    def _formatted(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple(chain.from_iterable(
+                starmap(template.format, product(*axes))
+                for template, *axes in self._segments))
+        return self._names
+
+
 class Constraints:
     """Constraint rows in build order.  A family names its rows with
     :meth:`reserve`, then sets one kind of row for every entity and hour at
     once with :meth:`add`; the entries are kept as COO arrays."""
 
     def __init__(self) -> None:
-        self.names: list[str] = []
+        self._names: list[tuple] = []        # RowNames segments
+        self.count = 0
         self._sides: list[tuple] = []        # (rows, sense, rhs)
         self._entries: list[tuple] = []      # (rows, cols, coefs)
 
-    def reserve(self, names: list[str], group: int = 1) -> np.ndarray:
-        """Append the rows ``names``; returns each ``group``'s first row."""
-        first = len(self.names)
-        self.names += names
-        return np.arange(first, len(self.names), group)
+    def reserve(self, segments: list[tuple], group: int = 1) -> np.ndarray:
+        """Append the rows that ``segments`` name (as in :class:`RowNames`);
+        returns each ``group``'s first row."""
+        first = self.count
+        self._names += segments
+        self.count += sum(prod(map(len, axes)) for _, *axes in segments)
+        return np.arange(first, self.count, group)
+
+    def row_names(self) -> RowNames:
+        return RowNames(tuple(self._names), self.count)
 
     def add(self, at, sense: str, rhs, *terms) -> None:
         """Rows ``at`` read ``sum(coefs * x[cols] over terms)  (sense)
@@ -197,7 +258,7 @@ class Constraints:
         """(A, sense, rhs): the rows as a CSR matrix, each row's entries in
         column order, and each row's sense and right-hand side.  Two
         entries at one position raise ValueError."""
-        m = len(self.names)
+        m = self.count
         sense, rhs = np.empty(m, dtype="<U2"), np.empty(m)
         for at, s, b in self._sides:
             sense[at], rhs[at] = s, b
@@ -215,7 +276,7 @@ class MilpProblem:
     A: Csr
     sense: np.ndarray                # LE, GE or EQ per row
     rhs: np.ndarray
-    row_names: tuple[str, ...]
+    row_names: Sequence[str]         # a RowNames from build
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray          # bool per column
@@ -333,47 +394,56 @@ class Schedule:
 
 def build_registry(s: Scenario) -> VariableRegistry:
     """Declare every decision column, with its bounds and integrality, in
-    deterministic order: one block of hours x families per entity."""
+    deterministic order: one block of hours x families per entity, and one
+    registry call per fleet (per run of DRAGs with as many demand blocks;
+    an EVCS's columns are two calls, as its enable bit has no hour)."""
     reg = VariableRegistry()
     steps = s.horizon.steps
     total_pl = sum(br.pl_max for br in s.network.branches)
     total_ql = sum(br.ql_max for br in s.network.branches)
-    reg.declare(steps, [("P_sub",), ("Q_sub",), ("r_sub_up",), ("r_sub_dn",)],
+    reg.declare(steps, [([("P_sub",), ("Q_sub",), ("r_sub_up",),
+                          ("r_sub_dn",)], ())],
                 lower=[-total_pl, -total_ql, 0.0, 0.0],
                 upper=[total_pl, total_ql, np.inf, np.inf])
-    for cfg in s.drags:
-        heads = [("P_block", a) for a in range(len(cfg.blocks))]
-        reg.declare(steps, heads + [("r_up",), ("r_dn",)], (cfg.name,),
-                    lower=0.0,
-                    upper=[[b.p_max for b in cfg.blocks] + [up, dn]
-                           for up, dn in zip(cfg.cap_up_max, cfg.cap_dn_max)])
-    for cfg in s.esags:
+    # one block per run of DRAGs with as many demand blocks
+    for width, run in groupby(s.drags, key=lambda cfg: len(cfg.blocks)):
+        run = list(run)
+        heads = [("P_block", a) for a in range(width)] + [("r_up",), ("r_dn",)]
+        reg.declare(steps, [(heads, (cfg.name,)) for cfg in run], lower=0.0,
+                    upper=[[[b.p_max for b in cfg.blocks] + [up, dn]
+                            for up, dn in zip(cfg.cap_up_max, cfg.cap_dn_max)]
+                           for cfg in run])
+
+    def esag_upper(cfg) -> list:
         dr, cr = cfg.dr_max, cfg.cr_max
-        # P, the net injection, is free; b_es is the mode bit
-        reg.declare(steps, [(fam,) for fam in ESAG_COLUMNS], (cfg.name,),
-                    lower=[-np.inf, cfg.e_min] + [0.0] * 9,
-                    upper=[np.inf, cfg.e_max, dr, cr, dr + cr, dr + cr,
-                           dr, dr, cr, cr, 1.0],
-                    binary=[False] * 10 + [True])
+        return [[np.inf, cfg.e_max, dr, cr, dr + cr, dr + cr, dr, dr, cr, cr,
+                 1.0]]
+
+    # P, the net injection, is free; b_es is the mode bit
+    reg.declare(steps, [([(fam,) for fam in ESAG_COLUMNS], (cfg.name,))
+                        for cfg in s.esags],
+                lower=[[[-np.inf, cfg.e_min] + [0.0] * 9] for cfg in s.esags],
+                upper=[esag_upper(cfg) for cfg in s.esags],
+                binary=[False] * 10 + [True])
     for cfg in s.evcss:
         # no EVs present: every column for this hour pinned to zero
         avail = set(cfg.availability)
         on = [cfg.er_max, cfg.err_max, cfg.err_max]
-        reg.declare(steps, [("P",), ("r_up",), ("r_dn",)], (cfg.name,),
+        reg.declare(steps, [([("P",), ("r_up",), ("r_dn",)], (cfg.name,))],
                     lower=0.0,
                     upper=[on if t in avail else [0.0] * 3 for t in steps])
         reg.add("b_ev", cfg.name, binary=True)
-    for cfg in s.ddgags:
-        reg.declare(steps, [("P",), ("r_up",), ("r_dn",)], (cfg.name,),
-                    lower=[cfg.p_min, 0.0, 0.0],
-                    upper=[cfg.p_max, cfg.ru, cfg.rd])
-    for br in s.network.branches:
-        limit = np.array([br.pl_max, br.ql_max])
-        reg.declare(steps, [("Pl", br.id), ("Ql", br.id)], lower=-limit,
-                    upper=limit)
-    for bus in s.network.buses:
-        reg.declare(steps, [("V", bus.id)], lower=s.network.v_min,
-                    upper=s.network.v_max)
+    reg.declare(steps, [([("P",), ("r_up",), ("r_dn",)], (cfg.name,))
+                        for cfg in s.ddgags],
+                lower=[[[cfg.p_min, 0.0, 0.0]] for cfg in s.ddgags],
+                upper=[[[cfg.p_max, cfg.ru, cfg.rd]] for cfg in s.ddgags])
+    branches = s.network.branches
+    reg.declare(steps, [([("Pl", br.id), ("Ql", br.id)], ())
+                        for br in branches],
+                lower=[[[-br.pl_max, -br.ql_max]] for br in branches],
+                upper=[[[br.pl_max, br.ql_max]] for br in branches])
+    reg.declare(steps, [([("V", bus.id)], ()) for bus in s.network.buses],
+                lower=s.network.v_min, upper=s.network.v_max)
     return reg
 
 
@@ -461,9 +531,9 @@ def add_drag_constraints(s: Scenario, reg: VariableRegistry,
                          rows: Constraints) -> None:
     drags, steps = s.drags, s.horizon.steps
     T = len(steps)
-    at = rows.reserve([f"drag_{side}_headroom[{t},{cfg.name}]"
-                       for cfg in drags for t in steps
-                       for side in ("dn", "up")], 2)
+    at = rows.reserve([("drag_{2}_headroom[{1},{0}]",
+                        tuple(cfg.name for cfg in drags), steps,
+                        ("dn", "up"))], 2)
     total = np.repeat([sum(b.p_max for b in cfg.blocks) for cfg in drags], T)
     r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in drags)
                   for fam in ("r_up", "r_dn"))
@@ -483,8 +553,8 @@ def add_esag_constraints(s: Scenario, reg: VariableRegistry,
     esags, steps = s.esags, s.horizon.steps
     T = len(steps)
     dt = s.horizon.step_hours
-    at = rows.reserve([f"esag_{head}{t},{cfg.name}]" for cfg in esags
-                       for t in steps for head in ESAG_ROWS], len(ESAG_ROWS))
+    at = rows.reserve([("esag_{2}{1},{0}]", tuple(cfg.name for cfg in esags),
+                        steps, ESAG_ROWS)], len(ESAG_ROWS))
     P, E, P_di, P_ch, r_up, r_dn, r_up_di, r_dn_di, r_up_ch, r_dn_ch, b = (
         reg.hourly((fam, cfg.name) for cfg in esags) for fam in ESAG_COLUMNS)
     eta_di, eta_ch, dr, cr = (_each(esags, name, T) for name in
@@ -528,11 +598,9 @@ def add_evcs_constraints(s: Scenario, reg: VariableRegistry,
     dt = s.horizon.step_hours
     heads = ("gate_p", "gate_up", "gate_dn", "up_headroom", "dn_headroom")
     row = rows.reserve([
-        name for cfg in evcss for name in
-        [f"evcs_{head}[{t},{cfg.name}]" for t in cfg.availability
-         for head in heads]
-        + [f"evcs_charge_floor[{cfg.name}]",
-           f"evcs_charge_ceiling[{cfg.name}]"]])
+        segment for cfg in evcss for segment in
+        (("evcs_{2}[{1},{0}]", (cfg.name,), cfg.availability, heads),
+         ("evcs_charge_{1}[{0}]", (cfg.name,), ("floor", "ceiling")))])
     # each station's rows: five per hour of its window, then two for its
     # terminal charge
     window = [len(cfg.availability) for cfg in evcss]
@@ -570,9 +638,9 @@ def add_ddgag_constraints(s: Scenario, reg: VariableRegistry,
                           rows: Constraints) -> None:
     ddgags, steps = s.ddgags, s.horizon.steps
     T = len(steps)
-    at = rows.reserve([f"ddgag_{side}_headroom[{t},{cfg.name}]"
-                       for cfg in ddgags for t in steps
-                       for side in ("up", "dn")], 2)
+    at = rows.reserve([("ddgag_{2}_headroom[{1},{0}]",
+                        tuple(cfg.name for cfg in ddgags), steps,
+                        ("up", "dn"))], 2)
     P, r_up, r_dn = (reg.hourly((fam, cfg.name) for cfg in ddgags)
                      for fam in ("P", "r_up", "r_dn"))
     rows.add(at, LE, _each(ddgags, "p_max", T), (P, 1.0), (r_up, 1.0))
@@ -588,12 +656,12 @@ def add_network_constraints(s: Scenario, reg: VariableRegistry,
     balance = {bus.id: 2 * i for i, bus in enumerate(net.buses)}
     drop = 2 * len(net.buses)
     per_hour = drop + len(net.branches) + 1
+    bus_ids, branch_ids = net.bus_ids(), tuple(br.id for br in net.branches)
     hours = rows.reserve([
-        name for t in steps for name in
-        [f"{kind}_balance[{t},{bus.id}]" for bus in net.buses
-         for kind in "pq"]
-        + [f"voltage_drop[{t},{br.id}]" for br in net.branches]
-        + [f"voltage_anchor[{t}]"]], per_hour)
+        segment for t in steps for segment in
+        (("{2}_balance[{0},{1}]", (t,), bus_ids, ("p", "q")),
+         ("voltage_drop[{0},{1}]", (t,), branch_ids),
+         ("voltage_anchor[{0}]", (t,)))], per_hour)
     # one hour's entries as (row within the hour, family, coefficient)
     terms: list[tuple[int, VarKey, float]] = []
     for kind, cfg in s.aggregators():
@@ -639,8 +707,7 @@ def add_aggregation_constraints(s: Scenario, reg: VariableRegistry,
     steps = s.horizon.steps
     gen = [c.name for c in s.esags] + [c.name for c in s.ddgags]
     load = [c.name for c in s.drags] + [c.name for c in s.evcss]
-    at = rows.reserve([f"agg_{side}[{t}]" for t in steps
-                       for side in ("up", "dn")], 2)
+    at = rows.reserve([("agg_{1}[{0}]", steps, ("up", "dn"))], 2)
     for j, (sub, gen_fam, load_fam) in enumerate(
             (("r_sub_up", "r_up", "r_dn"), ("r_sub_dn", "r_dn", "r_up"))):
         offers = reg.hourly([(gen_fam, name) for name in gen]
@@ -651,7 +718,10 @@ def add_aggregation_constraints(s: Scenario, reg: VariableRegistry,
 
 def build(s: Scenario) -> MilpProblem:
     """Compile the full problem.  Deterministic: identical scenarios give
-    identical matrices."""
+    identical matrices.  ScenarioValidationError for a scenario that
+    :func:`validate_scenario` rejects (a scenario it has checked before is
+    not checked again) or whose priced objective is not finite
+    (``PRICE_OVERFLOW``, which validation does not check)."""
     report = validate_scenario(s)
     if not report.ok:
         raise ScenarioValidationError(report)
@@ -663,11 +733,31 @@ def build(s: Scenario) -> MilpProblem:
                        add_network_constraints, add_aggregation_constraints):
         add_family(s, reg, rows)
     A, sense, rhs = rows.assemble(len(reg))
-    objective, prices = price_objective(s, reg)
+    # a valid offer p can still overflow once priced, as p * step_hours
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective, prices = price_objective(s, reg)
+    if not np.isfinite(objective).all():
+        raise ScenarioValidationError(ValidationReport(
+            (_price_overflow(s, reg, objective),)))
     return MilpProblem(
         objective=objective, A=A, sense=sense, rhs=rhs,
-        row_names=tuple(rows.names), lower=lower, upper=upper,
+        row_names=rows.row_names(), lower=lower, upper=upper,
         integrality=integral, registry=reg, prices=prices)
+
+
+def _price_overflow(s: Scenario, reg: VariableRegistry,
+                    objective: np.ndarray) -> Violation:
+    # name the first aggregator, in the order the columns are owned, with a
+    # column whose price is not finite, or else the first such DSO hour
+    counts = reg.sum_by_owner(np.invert(np.isfinite(objective))[None] * 1.0)
+    owners = [owner for owner, (n,) in counts.items() if n]
+    names = [owner for owner in owners if owner in s.offers]
+    where = (f"the offers of {names[0]}" if names
+             else f"the wholesale prices of hour {owners[0]}")
+    return Violation(
+        "PRICE_OVERFLOW",
+        f"{where} are not finite once priced into the objective "
+        f"(step_hours {s.horizon.step_hours})")
 
 
 def decode(s: Scenario, problem: MilpProblem, values: np.ndarray,

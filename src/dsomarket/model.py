@@ -4,7 +4,8 @@ A :class:`Scenario` bundles the horizon, wholesale prices, the regulation
 signal, the radial distribution network, and the four aggregator fleets
 (demand response, energy storage, EV charging, dispatchable generation)
 together with each aggregator's offer prices.  Everything is an immutable
-dataclass so scenarios can be shared freely across concurrent solves.
+dataclass so scenarios can be shared freely across concurrent solves, and
+:func:`validate_scenario` checks each instance once.
 """
 
 from __future__ import annotations
@@ -317,8 +318,16 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     """Check every structural invariant of the scenario.
 
     Violations are returned as data; nothing raises.  An empty report means
-    the scenario is ready for compilation.
+    the scenario is ready for compilation.  The report is kept on the
+    (immutable) instance, so loading and building a scenario check it once;
+    a ``replace`` copy is a new instance and is checked again.
     """
+    if "_report" not in s.__dict__:
+        object.__setattr__(s, "_report", _check_scenario(s))
+    return s._report
+
+
+def _check_scenario(s: Scenario) -> ValidationReport:
     out: list[Violation] = []
 
     def bad(code: str, message: str) -> None:

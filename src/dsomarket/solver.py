@@ -507,13 +507,16 @@ def solve_lp(problem, opts: SolveOptions | None = None,
 
 
 def _check_binary_mask(problem) -> np.ndarray:
+    """The integral columns; ValueError naming the first one whose bounds
+    are not within [0, 1] (a nan bound is not)."""
     int_cols = np.flatnonzero(problem.integrality)
-    for j in int_cols:
-        lo, hi = problem.lower[j], problem.upper[j]
-        if not (0.0 <= lo and hi <= 1.0):
-            raise ValueError(
-                f"integral column {j} must be bounded within [0, 1], "
-                f"got [{lo}, {hi}]")
+    lo, hi = problem.lower[int_cols], problem.upper[int_cols]
+    inside = (0.0 <= lo) & (hi <= 1.0)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(
+            f"integral column {int_cols[k]} must be bounded within [0, 1], "
+            f"got [{lo[k]}, {hi[k]}]")
     return int_cols
 
 

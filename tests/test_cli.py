@@ -195,6 +195,30 @@ def test_huge_per_unit_impedance_exits_1(tmp_path, capsys, s_base):
     assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("path, value, where", [
+    (("offers", "ddgag-1", "energy", 0), 1e308, "the offers of ddgag-1"),
+    (("wholesale", "energy", 2), -1e308, "the wholesale prices of hour 3"),
+])
+def test_price_overflowing_once_priced_exits_1(tmp_path, capsys, path,
+                                               value, where):
+    # 1e308 is a valid price, but priced over two-hour steps it is 2e308,
+    # which is not finite: validate passes the file, solve refuses it
+    doc = scenario_to_dict(bundled_case_study())
+    edit(doc, ("horizon", "step_hours"), 2.0)
+    edit(doc, path, value)
+    case = tmp_path / "overflow.json"
+    case.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(case)]) == 0
+    capsys.readouterr()
+    out, mps = tmp_path / "r", tmp_path / "case.mps"
+    assert cli.main(["solve", str(case), "--out", str(out),
+                     "--mps", str(mps)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"PRICE_OVERFLOW: {where} are not finite once priced "
+                   "into the objective (step_hours 2.0)\n")
+    assert not out.exists() and not mps.exists()
+
+
 def test_small_base_within_limit_solves(tmp_path, capsys):
     # r / s_base = 1e7, under MAX_PER_UNIT_IMPEDANCE
     path = _edited_bundled(tmp_path, ("network", "s_base"), 1e-9)

@@ -185,7 +185,7 @@ def test_duplicate_entries_are_refused():
     with pytest.raises(ValueError, match="row 1, column 2"):
         Csr.from_entries([0, 1, 1], [2, 2, 2], [1.0, 2.0, 3.0], (2, 3))
     rows = Constraints()
-    at = rows.reserve(["twice"])
+    at = rows.reserve([("twice",)])
     rows.add(at, LE, 1.0, ([0], [1.0]), ([0], [2.0]))
     with pytest.raises(ValueError, match="row 0, column 0"):
         rows.assemble(1)

@@ -1,5 +1,6 @@
 """Problem compilation: registry layout, bounds, objective, rows, decode."""
 
+import pickle
 from dataclasses import replace
 from operator import attrgetter
 
@@ -17,6 +18,7 @@ from oracles import (
     reference_build,
     reference_registry,
 )
+from dsomarket import model, scenario_io
 from dsomarket.formulation import (
     EQ,
     GE,
@@ -24,6 +26,7 @@ from dsomarket.formulation import (
     Constraints,
     DimensionMismatch,
     NonOptimalStatus,
+    RowNames,
     VariableRegistry,
     add_network_constraints,
     build,
@@ -98,10 +101,10 @@ def test_registry_sums_columns_per_owner():
 def test_registry_declares_blocks_hour_by_hour():
     reg = VariableRegistry()
     reg.add("first")
-    block = reg.declare((4, 5), [("a",), ("b", 7)], ("x",),
+    block = reg.declare((4, 5), [([("a",), ("b", 7)], ("x",))],
                         lower=[0.0, -1.0], upper=[[1.0, 2.0], [1.0, 3.0]],
                         binary=[True, False])
-    assert block.tolist() == [[1, 2], [3, 4]]
+    assert block.tolist() == [[[1, 2], [3, 4]]]
     # each family's columns hour by hour, under its key without the hour:
     # ("a", 4, "x"), ("b", 7, 4, "x"), ("a", 5, "x"), ("b", 7, 5, "x"),
     # all owned by "x"
@@ -117,10 +120,32 @@ def test_registry_declares_blocks_hour_by_hour():
     # a key declared before, or twice in one block, is refused whole
     for heads, owner in (([("c",), ("a",)], ("x",)), ([("c",), ("c",)], ())):
         with pytest.raises(ValueError, match="duplicate"):
-            reg.declare((5,), heads, owner)
+            reg.declare((5,), [(heads, owner)])
         assert len(reg) == 5
         with pytest.raises(KeyError):
             reg.hourly([("c",) + owner])
+    # blocks of unequal widths are refused, and no blocks declare nothing
+    with pytest.raises(ValueError, match="heads"):
+        reg.declare((5,), [([("c",)], ("y",)), ([("d",), ("e",)], ("z",))])
+    assert reg.declare((5,), []).shape == (0, 1, 0) and len(reg) == 5
+
+
+def test_registry_declares_one_block_per_owner():
+    # owner by owner, each hour by hour: the columns of declaring each
+    # owner's block in turn, owned by the owner's name or, with no owner,
+    # by the hour
+    reg = VariableRegistry()
+    block = reg.declare((1, 2), [([("P",), ("r",)], ("x",)),
+                                 ([("P",), ("r",)], ("y",))],
+                        lower=[[[0.0, 1.0]], [[2.0, 3.0]]])
+    assert block.tolist() == [[[0, 1], [2, 3]], [[4, 5], [6, 7]]]
+    assert reg.hourly([("r", "y"), ("P", "x")]).tolist() == [5, 7, 0, 2]
+    assert reg.bounds()[0].tolist() == [0.0, 1.0] * 2 + [2.0, 3.0] * 2
+    flows = reg.declare((1, 2), [([("Pl", 3)], ()), ([("Pl", 4)], ())])
+    assert flows.tolist() == [[[8], [9]], [[10], [11]]]
+    assert reg.hourly([("Pl", 4)]).tolist() == [10, 11]
+    assert reg.sum_by_owner(np.arange(12.0)[None]) == {
+        "x": [6.0], "y": [22.0], 1: [18.0], 2: [20.0]}
 
 
 def test_registry_deterministic_across_builds(bundled):
@@ -177,6 +202,44 @@ def test_build_rejects_invalid_scenario():
         build(s)
 
 
+def test_loaded_scenario_is_validated_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "rung.json")
+    scenario_io.save_scenario(ladder_rung(4), path)
+    checked = []
+    check = model._check_scenario
+    monkeypatch.setattr(model, "_check_scenario",
+                        lambda s: checked.append(s) or check(s))
+    s = scenario_io.load_scenario(path)
+    build(s)
+    build(s)
+    assert checked == [s]
+    # a replace copy is a new instance: it is checked, and build refuses
+    # it when it breaks a rule
+    broken = replace(s, offers={})
+    with pytest.raises(ScenarioValidationError, match="OFFER_MISSING"):
+        build(broken)
+    assert len(checked) == 2 and checked[1] is broken
+
+
+def test_registry_calls_per_fleet_not_per_entity(monkeypatch):
+    calls = []
+    declare = VariableRegistry.declare
+    monkeypatch.setattr(VariableRegistry, "declare", lambda self, *args,
+                        **kwargs: calls.append(1) or declare(self, *args,
+                                                             **kwargs))
+    fleets = []
+    for k in (2, 16):
+        s = ladder_rung(k)
+        assert len(s.esags) == len(s.ddgags) == k
+        calls.clear()
+        build_registry(s)
+        # two calls per EVCS (its block of hours and b_ev); one for the
+        # substation, and one for each fleet: the DRAGs (all of them have
+        # as many demand blocks), ESAGs, DDGAGs, branches and buses
+        fleets.append(len(calls) - 2 * len(s.evcss))
+    assert fleets == [6, 6]
+
+
 def test_row_count_matches_closed_form(bundled, bundled_problem):
     assert len(bundled_problem.row_names) == expected_row_count(bundled)
 
@@ -188,6 +251,31 @@ def test_row_count_matches_closed_form(bundled, bundled_problem):
 def test_row_count_closed_form_per_kind(kinds):
     s = make_scenario(T=3, kinds=kinds)
     assert len(build(s).row_names) == expected_row_count(s)
+
+
+@pytest.mark.parametrize("case", ["bundled", "rung 2", "rung 4"])
+def test_row_names_are_formatted_on_first_read(bundled, case, monkeypatch):
+    s = bundled if case == "bundled" else ladder_rung(
+        int(case.removeprefix("rung ")))
+    problem, expected = build(s), reference_build(s).row_names
+    names = problem.row_names
+
+    def formatted(self):
+        raise AssertionError("a row name was formatted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RowNames, "_formatted", formatted)
+        assert len(names) == len(expected) == expected_row_count(s)
+        problem.row_bounds()        # HiGHS loads and start checks
+        unread = pickle.dumps(names)
+    assert names == expected and expected == names
+    assert list(names) == list(expected) and names[-1] == expected[-1]
+    assert names != expected[:-1] and names != list(expected)
+    # the pickle carries the recipe, not the names
+    assert pickle.dumps(names) == unread
+    assert pickle.loads(unread) == expected
+    # B&B nodes and sweep cases share the names
+    assert replace(problem, lower=problem.lower.copy()).row_names is names
 
 
 def test_single_generator_single_hour_rows():

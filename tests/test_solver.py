@@ -140,6 +140,22 @@ def test_milp_rejects_non_binary_integrality():
         solve_milp(problem)
 
 
+def test_milp_names_the_first_integral_column_out_of_range():
+    # column 0 is continuous and unbounded, column 2 integral in [0, 1];
+    # of the integral columns 1, 3 (a nan bound) and 4, the first is named
+    lower = [-np.inf, -1.0, 0.0, np.nan, 0.0]
+    upper = [np.inf, 1.0, 1.0, 1.0, 2.0]
+    for j, text in ((1, "[-1.0, 1.0]"), (3, "[nan, 1.0]"), (4, "[0.0, 2.0]")):
+        problem = make_problem(
+            c=[1.0] * 5, A=[[1.0] * 5], senses=[LE], b=[5.0], lower=lower,
+            upper=upper, integrality=[False, True, True, True, True])
+        with pytest.raises(ValueError) as err:
+            solve_milp(problem)
+        assert str(err.value) == (
+            f"integral column {j} must be bounded within [0, 1], got {text}")
+        lower[j] = 0.0
+
+
 def _needs_branching():
     # the root cuts leave binaries of ladder rung 2 fractional, so its
     # integer optimum needs a search
